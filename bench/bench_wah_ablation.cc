@@ -351,9 +351,10 @@ int main(int argc, char** argv) {
   // Row-reordering lanes (core/row_order.h, DESIGN.md §15): the same
   // relation indexed in arrival (shuffled) order versus after a lex / Gray
   // sort.  Sorting multiplies WAH compression (arXiv 0901.3751), and the
-  // smaller operands pull the auto engine's per-operand choice — and its
-  // measured break-even (wah_engine.calibrated_ratio) — toward compressed
-  // execution.  Foundset checksums are order-invariant, so all three arms
+  // smaller operands pull the auto engine's per-operand choice toward
+  // compressed execution.  These in-memory sources never calibrate, so the
+  // choice runs against the fixed 1/4 break-even and the recorded
+  // wah_engine.calibrated_ratio is 0.  Foundset checksums are order-invariant, so all three arms
   // must agree bit-for-bit on every query's count.
   const size_t sort_rows = smoke ? 100000 : 1000000;
   std::printf("\nrow reordering: shuffled vs sorted builds, %zu rows, "

@@ -99,18 +99,18 @@ fi
 
 if [[ "$RUN_SERVE" == 1 ]]; then
   # Serving lane: the shared-operand cache, admission control, the
-  # concurrent-vs-sequential differential guarantee, and the async I/O
-  # battery (executor lifecycle, completion rendezvous, prefetch overlap,
-  # cache soak), under ThreadSanitizer — the single-flight fetch, the
-  # cross-query sharing, and the off-lane publish are exactly the code
-  # TSan exists for.
+  # concurrent-vs-sequential differential guarantee, the cache soak, and
+  # the served-read chaos tests (faults firing inside served queries),
+  # under ThreadSanitizer — the single-flight fetch and the cross-query
+  # sharing are exactly the code TSan exists for.
   cmake -B build-tsan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
-  cmake --build build-tsan --target bix_tests bix_async_tests
+  cmake --build build-tsan --target bix_tests bix_differential_tests
   ./build-tsan/tests/bix_tests \
       --gtest_filter='OperandCache*:Admission*:Serve*:Trace*'
-  ./build-tsan/tests/bix_async_tests
+  ./build-tsan/tests/bix_differential_tests \
+      --gtest_filter='FaultInjectionServe*'
 fi
 
 if [[ "$RUN_BENCH_GATE" == 1 ]]; then
@@ -139,7 +139,7 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
         "$GATE_DIR/wah_ablation.$i.json" > /dev/null
     ./build/tools/bixctl bench-serve --columns 4 --rows 50000 \
         --cardinality 64 --queries 1500 --threads 4 --codec lz77 \
-        --io-threads 2 --out "$GATE_DIR/serve.$i.json" > /dev/null
+        --out "$GATE_DIR/serve.$i.json" > /dev/null
   done
   ./build/tools/benchdiff bench/baselines/BENCH_wah_merge.json \
       "$GATE_DIR"/wah_merge.*.json
@@ -180,7 +180,7 @@ if [[ "$RUN_MAIN" == 1 ]]; then
   BIX_GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)" \
       ./build/tools/bixctl bench-serve --columns 4 --rows 50000 \
       --cardinality 64 --queries 1500 --threads 4 --codec lz77 \
-      --io-threads 2 --out bench/baselines/BENCH_serve.json
+      --out bench/baselines/BENCH_serve.json
   ./build/bench/bench_obs BENCH_obs.json
   ./build/bench/bench_parallel_scaling BENCH_parallel_scaling.json
   BIX_BENCH_JSON=BENCH_micro_bitvector.json \

@@ -12,8 +12,7 @@ namespace {
 
 // Tasks of the current batch not yet claimed by any lane.  Monitoring-grade:
 // concurrent relaxed stores may briefly read stale, but it always converges
-// to 0 when the pool is idle.  "compute" distinguishes this pool's pressure
-// from the storage executor's io.queue_depth (storage/async_env.h).
+// to 0 when the pool is idle.
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
       "thread_pool.compute_queue_depth");

@@ -8,40 +8,46 @@
 
 namespace bix::serve {
 
-obs::Counter& OperandCache::SharedHitCounter() {
+namespace {
+
+// The cross-query sharing counters: hit = joined or ready, miss = this
+// caller fetches.
+obs::Counter& SharedHitCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("serve.shared_fetch_hits");
   return c;
 }
 
-obs::Counter& OperandCache::SharedMissCounter() {
+obs::Counter& SharedMissCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("serve.shared_fetch_misses");
   return c;
 }
 
+}  // namespace
+
 OperandCache::OperandCache(const Options& options) : options_(options) {}
 
 OperandCache::Flight OperandCache::Begin(const OperandKey& key) {
   Flight flight;
-  flight.key_ = key;
+  flight.key = key;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    flight.entry_ = it->second;
-    if (flight.entry_->in_lru) TouchLocked(flight.entry_, key);
+    flight.entry = it->second;
+    if (flight.entry->in_lru) TouchLocked(flight.entry, key);
   } else {
-    flight.entry_ = std::make_shared<Entry>();
-    map_.emplace(key, flight.entry_);
-    flight.owner_ = true;
+    flight.entry = std::make_shared<Entry>();
+    map_.emplace(key, flight.entry);
+    flight.owner = true;
   }
   return flight;
 }
 
 std::shared_ptr<const CachedOperand> OperandCache::Publish(
     const Flight& flight, CachedOperand operand) {
-  BIX_CHECK(flight.owner_ && flight.entry_ != nullptr);
-  const std::shared_ptr<Entry>& entry = flight.entry_;
+  BIX_CHECK(flight.owner && flight.entry != nullptr);
+  const std::shared_ptr<Entry>& entry = flight.entry;
   const bool failed = !operand.status.ok();
   {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
@@ -54,14 +60,14 @@ std::shared_ptr<const CachedOperand> OperandCache::Publish(
     // The map may no longer point at this entry (Clear ran, or — after a
     // failure-eviction — a retry began a new flight); only the current
     // occupant joins the LRU.
-    auto it = map_.find(flight.key_);
+    auto it = map_.find(flight.key);
     if (failed) {
       // Publish to the waiters that joined this flight, but let the next
       // query retry instead of caching the failure.
       if (it != map_.end() && it->second == entry) map_.erase(it);
     } else {
       if (it != map_.end() && it->second == entry) {
-        entry->lru_it = lru_.insert(lru_.begin(), flight.key_);
+        entry->lru_it = lru_.insert(lru_.begin(), flight.key);
         entry->in_lru = true;
         ++num_ready_;
         EvictIfNeededLocked();
@@ -73,8 +79,8 @@ std::shared_ptr<const CachedOperand> OperandCache::Publish(
 
 std::shared_ptr<const CachedOperand> OperandCache::Await(
     const Flight& flight) const {
-  BIX_CHECK(flight.entry_ != nullptr);
-  const std::shared_ptr<Entry>& entry = flight.entry_;
+  BIX_CHECK(flight.entry != nullptr);
+  const std::shared_ptr<Entry>& entry = flight.entry;
   std::unique_lock<std::mutex> entry_lock(entry->mu);
   entry->cv.wait(entry_lock, [&] { return entry->ready; });
   return std::shared_ptr<const CachedOperand>(entry, &entry->operand);
@@ -83,7 +89,7 @@ std::shared_ptr<const CachedOperand> OperandCache::Await(
 std::shared_ptr<const CachedOperand> OperandCache::GetOrFetch(
     const OperandKey& key, const FetchFn& fetch, bool* was_hit) {
   Flight flight = Begin(key);
-  if (flight.owner()) {
+  if (flight.owner) {
     SharedMissCounter().Increment();
     if (was_hit != nullptr) *was_hit = false;
     // The expensive part — read, verify, decode — runs with no cache lock,

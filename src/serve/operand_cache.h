@@ -10,27 +10,18 @@
 // same entry and consumes the same immutable bitmap, and later queries hit
 // it outright.
 //
-// Single-flight discipline (the Begin/Publish/Await primitive; GetOrFetch
-// is the synchronous composition of the three):
-//  * Begin looks the key up under the cache mutex.  A miss inserts a
-//    pending entry and returns an *owner* Flight: the caller is the one
-//    fetcher for this key and must Publish exactly once, from any thread,
-//    with no cache lock held (cold fetches overlap with other queries'
-//    compute and with each other across keys).  Completion is published
-//    through the entry's own mutex + condvar.
-//  * Concurrent Begins for the same key return joining Flights on the
-//    pending entry; Await blocks on it, never issuing a second fetch.
-//    Joiners count as shared-fetch hits: the work was shared even though
-//    nobody had finished it yet.
-//  * A failed Publish delivers its Status to the waiters that joined the
+// Single-flight discipline (GetOrFetch, the cache's one entry point):
+//  * The lookup runs under the cache mutex.  A miss inserts a pending entry
+//    and makes the caller the one fetcher for this key; the fetch itself
+//    runs with no cache lock held (cold fetches overlap with other
+//    queries' compute and with each other across keys), and its result is
+//    published through the entry's own mutex + condvar.
+//  * Concurrent lookups of the same key join the pending entry and block
+//    on it, never issuing a second fetch.  Joiners count as shared-fetch
+//    hits: the work was shared even though nobody had finished it yet.
+//  * A failed fetch delivers its Status to the waiters that joined the
 //    flight, then evicts the entry, so transient I/O errors are retried by
 //    the next query rather than being cached forever.
-//
-// The pending entry is therefore also the *async completion rendezvous*:
-// an owner may hand its Flight to an I/O executor job and return to
-// compute; whichever I/O thread finishes the read Publishes, and every
-// Await — on any query lane — wakes through the same condvar the
-// synchronous path uses (storage/async_env.h, DESIGN.md §13).
 //
 // Entries are immutable once ready and handed out as shared_ptr, so an
 // eviction can never invalidate a bitmap an in-flight query still reads.
@@ -52,10 +43,6 @@
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 #include "core/status.h"
-
-namespace bix::obs {
-class Counter;
-}  // namespace bix::obs
 
 namespace bix::serve {
 
@@ -109,9 +96,6 @@ struct OperandKeyHash {
 struct CachedOperand {
   Bitvector dense;
   WahBitvector wah;
-  /// Compressed payload bytes the fetch read (accounting for the query
-  /// that performed it; hits read nothing).
-  int64_t payload_bytes = 0;
   /// The fetch served a sibling-reconstructed bitmap; consumers inherit the
   /// degraded flag.
   bool degraded = false;
@@ -119,9 +103,6 @@ struct CachedOperand {
 };
 
 class OperandCache {
- private:
-  struct Entry;  // defined below; Flight holds a shared_ptr to one
-
  public:
   struct Options {
     /// Ready entries retained (LRU beyond this).  Pending fetches are
@@ -132,61 +113,18 @@ class OperandCache {
   OperandCache() : OperandCache(Options{}) {}
   explicit OperandCache(const Options& options);
 
-  /// A single-flight claim on one key.  An owner() flight must be
-  /// completed with exactly one Publish (from any thread); a joining
-  /// flight references an entry someone else is fetching (or has
-  /// fetched) and is consumed with Await.  Copyable: an owner typically
-  /// keeps one copy to Await and moves another into the I/O job that
-  /// Publishes.
-  class Flight {
-   public:
-    Flight() = default;
-    bool owner() const { return owner_; }
-    explicit operator bool() const { return entry_ != nullptr; }
-
-   private:
-    friend class OperandCache;
-    std::shared_ptr<Entry> entry_;
-    OperandKey key_;
-    bool owner_ = false;
-  };
-
-  /// Non-blocking single-flight lookup: on a miss, inserts a pending entry
-  /// and returns the owner flight; otherwise returns a joining flight on
-  /// the existing (pending or ready) entry.  Never runs a fetch and never
-  /// waits.  Owners MUST Publish exactly once or every Await on the key
-  /// blocks forever.
-  Flight Begin(const OperandKey& key);
-
-  /// Owner-only: publishes `operand` (success or failure), wakes every
-  /// Await, and completes the entry's cache lifecycle — LRU insertion on
-  /// success, eviction on failure so the next query retries.  Safe from
-  /// any thread; returns the published operand.
-  std::shared_ptr<const CachedOperand> Publish(const Flight& flight,
-                                               CachedOperand operand);
-
-  /// Blocks until the flight's entry is ready and returns its operand.
-  std::shared_ptr<const CachedOperand> Await(const Flight& flight) const;
-
-  /// The fetch callback: fill `out` (and out->payload_bytes) or return the
-  /// failure through out->status.  Runs without any cache lock held.
+  /// The fetch callback: fill `out` or return the failure through
+  /// out->status.  Runs without any cache lock held.
   using FetchFn = std::function<void(CachedOperand* out)>;
 
-  /// Single-flight lookup (Begin + synchronous fetch/Publish for owners,
-  /// Await for joiners).  Returns the ready (possibly failed) operand.
-  /// `*was_hit` reports whether this call was served without running
-  /// `fetch` — including joining a fetch already in flight.  Counts the
-  /// serve.shared_fetch_{hits,misses} counters; callers composing the
-  /// primitives directly count them themselves.
+  /// Single-flight lookup: the first caller for a key runs `fetch` and
+  /// publishes the result; concurrent callers wait for it.  Returns the
+  /// ready (possibly failed) operand.  `*was_hit` reports whether this
+  /// call was served without running `fetch` — including joining a fetch
+  /// already in flight.  Counts serve.shared_fetch_{hits,misses}.
   std::shared_ptr<const CachedOperand> GetOrFetch(const OperandKey& key,
                                                   const FetchFn& fetch,
                                                   bool* was_hit);
-
-  /// The cross-query sharing counters (hit = joined or ready, miss = this
-  /// caller fetches), exposed so the async fetch path accounts through the
-  /// same names GetOrFetch uses.
-  static obs::Counter& SharedHitCounter();
-  static obs::Counter& SharedMissCounter();
 
   /// Ready entries currently resident.
   size_t size() const;
@@ -204,6 +142,29 @@ class OperandCache {
     std::list<OperandKey>::iterator lru_it;
     bool in_lru = false;            // guarded by the cache mutex
   };
+
+  // A single-flight claim on one key: an owner must Publish exactly once
+  // (or every Await on the key blocks forever); a joiner Awaits the entry
+  // someone else is fetching (or has fetched).
+  struct Flight {
+    std::shared_ptr<Entry> entry;
+    OperandKey key;
+    bool owner = false;
+  };
+
+  // Non-blocking lookup: on a miss, inserts a pending entry and returns
+  // the owner flight; otherwise joins the existing (pending or ready)
+  // entry.
+  Flight Begin(const OperandKey& key);
+
+  // Owner-only: publishes `operand` (success or failure), wakes every
+  // Await, and completes the entry's cache lifecycle — LRU insertion on
+  // success, eviction on failure so the next query retries.
+  std::shared_ptr<const CachedOperand> Publish(const Flight& flight,
+                                               CachedOperand operand);
+
+  // Blocks until the flight's entry is ready and returns its operand.
+  std::shared_ptr<const CachedOperand> Await(const Flight& flight) const;
 
   void TouchLocked(const std::shared_ptr<Entry>& entry, const OperandKey& key);
   void EvictIfNeededLocked();

@@ -30,25 +30,7 @@ QueryService::QueryService(const ServeOptions& options)
     : options_(options),
       admission_(AdmissionController::Options{
           options.max_pending, options.default_deadline_ns}),
-      cache_(OperandCache::Options{options.cache_entries}) {
-  // Async fetches only make sense through the shared cache: its pending
-  // entries are the completion rendezvous.
-  if (options.share_operands) {
-    if (options.io_executor != nullptr) {
-      io_ = options.io_executor;
-    } else if (options.io_threads > 0) {
-      AsyncIo::Options io_options;
-      io_options.num_threads = options.io_threads;
-      io_options.queue_depth = options.io_depth;
-      owned_io_ = std::make_unique<AsyncIo>(io_options);
-      io_ = owned_io_.get();
-    }
-  }
-}
-
-QueryService::~QueryService() {
-  if (io_ != nullptr) io_->Drain();
-}
+      cache_(OperandCache::Options{options.cache_entries}) {}
 
 uint32_t QueryService::AddColumn(const StoredIndex* index) {
   std::lock_guard<std::mutex> lock(publish_mu_);
@@ -118,25 +100,8 @@ ServeResult QueryService::RunOne(const AdmittedQuery& admitted) {
 
   Bitvector foundset;
   if (options_.share_operands) {
-    // Async fetches cover BS columns only — CS/IS operands live in the
-    // per-query row-major buffers OpenQuerySource already read.
-    IoExecutor* io = (io_ != nullptr &&
-                      index->scheme() == StorageScheme::kBitmapLevel)
-                         ? io_
-                         : nullptr;
     SharingSource sharing(source.get(), &cache_, admitted.query.column,
-                          wah_direct, &result.stats, index, io, &planner_,
-                          slot->epoch);
-    if (io != nullptr) {
-      // Submit every cold operand this predicate will touch before
-      // evaluation starts: the reads overlap with this query's compute on
-      // warm operands and with its batch-mates.
-      const OperandKey::Kind kind =
-          (wah_direct && options_.engine != EngineKind::kPlain)
-              ? OperandKey::Kind::kWah
-              : OperandKey::Kind::kDense;
-      sharing.Prefetch(admitted.query.op, admitted.query.value, kind);
-    }
+                          wah_direct, slot->epoch);
     foundset = EvaluatePredicate(sharing, EvalAlgorithm::kAuto,
                                  admitted.query.op, admitted.query.value, exec,
                                  &result.stats);

@@ -34,8 +34,6 @@
 #include "core/status.h"
 #include "serve/admission.h"
 #include "serve/operand_cache.h"
-#include "serve/sharing_source.h"
-#include "storage/async_env.h"
 #include "storage/stored_index.h"
 
 namespace bix::serve {
@@ -54,20 +52,6 @@ struct ServeOptions {
   bool share_operands = true;
   /// Operator substrate for evaluation (core/eval.h).
   EngineKind engine = EngineKind::kPlain;
-  /// > 0 enables the async read path for BS columns (requires
-  /// share_operands): the service owns an AsyncIo executor with this many
-  /// I/O threads, cold operand fetches run there, and each query prefetches
-  /// the operands it is about to touch (storage/async_env.h, DESIGN.md
-  /// §13).  0 keeps every fetch synchronous on the query lane.
-  int io_threads = 0;
-  /// Queue-depth bound for the owned executor: outstanding (queued +
-  /// running) fetch jobs; a full queue blocks submitters (backpressure on
-  /// the query lanes).
-  size_t io_depth = 16;
-  /// Test seam: when non-null this executor is used instead of an owned
-  /// AsyncIo (io_threads/io_depth ignored; still requires share_operands).
-  /// Borrowed; must outlive the service, which Drains it on destruction.
-  IoExecutor* io_executor = nullptr;
 };
 
 /// Outcome of one served query.
@@ -88,8 +72,6 @@ struct ServeResult {
 class QueryService {
  public:
   explicit QueryService(const ServeOptions& options);
-  /// Drains in-flight async fetches before any shared state dies.
-  ~QueryService();
 
   /// Registers an opened index for serving and returns its column id
   /// (assigned densely in call order).  The index is borrowed and must
@@ -131,13 +113,6 @@ class QueryService {
   OperandCache& cache() { return cache_; }
   size_t pending() const { return admission_.pending(); }
 
-  /// Peak outstanding fetch jobs on the owned executor (0 when async I/O
-  /// is off or an injected executor is in use) — the overlap witness
-  /// bench-serve reports.
-  int64_t io_inflight_peak() const {
-    return owned_io_ != nullptr ? owned_io_->inflight_peak() : 0;
-  }
-
  private:
   /// One published binding of a column id: the index plus the serve epoch
   /// assigned when it was published.  Immutable once published (queries
@@ -153,7 +128,6 @@ class QueryService {
   const ServeOptions options_;
   AdmissionController admission_;
   OperandCache cache_;
-  PrefetchPlanner planner_;
   // Atomic slots so UpdateColumn can swap a column mid-serve; the vector
   // itself is append-only before serving starts.
   std::vector<std::unique_ptr<std::atomic<const ColumnSlot*>>> columns_;
@@ -164,11 +138,6 @@ class QueryService {
   std::vector<std::unique_ptr<const ColumnSlot>> all_slots_;
   std::mutex publish_mu_;  // serializes AddColumn/UpdateColumn publication
   uint32_t next_epoch_ = 0;  // guarded by publish_mu_; never reused
-  // Async fetch executor (null = synchronous fetches).  Declared after
-  // cache_/columns_ and drained in the destructor, so no fetch job can
-  // outlive the state it publishes into.
-  std::unique_ptr<AsyncIo> owned_io_;
-  IoExecutor* io_ = nullptr;
 };
 
 }  // namespace bix::serve

@@ -1,12 +1,8 @@
 #include "serve/sharing_source.h"
 
 #include <utility>
-#include <vector>
 
-#include "core/eval.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
-#include "storage/async_env.h"
 
 namespace bix::serve {
 
@@ -21,197 +17,20 @@ void CountScan(EvalStats* stats) {
   }
 }
 
-// Runs on an I/O thread: materializes one operand from `index` and
-// publishes it through the flight's pending entry — the cache's existing
-// mutex/condvar rendezvous wakes every Await.  Mirrors the synchronous
-// fetch callback in GetOperand exactly: wah failures map to kNotFound so
-// consumers fall back to the dense kind, dense failures surface typed and
-// the publish evicts the entry for retry.  Captures only borrowed service
-// state (index, cache) and the flight — never a SharingSource.
-void RunFetchJob(const StoredIndex* index, OperandCache* cache,
-                 OperandCache::Flight flight, const OperandKey& key) {
-  CachedOperand out;
-  FetchedOperand fetched;
-  Status s = index->FetchBitmapOperand(
-      key.component, key.slot, key.kind == OperandKey::Kind::kWah, &fetched);
-  if (!s.ok() && s.code() != Status::Code::kNotFound) {
-    IoErrorCounter().Increment();
-  }
-  if (key.kind == OperandKey::Kind::kWah) {
-    if (s.ok()) {
-      out.wah = std::move(fetched.wah);
-    } else {
-      // No compressed payload (or it failed verification): not an error —
-      // the consumer falls back to the dense kind, which re-reads with
-      // full recovery.
-      out.status = Status::NotFound("no wah payload");
-    }
-  } else {
-    if (s.ok()) {
-      out.dense = std::move(fetched.dense);
-    } else {
-      out.status = std::move(s);
-    }
-  }
-  out.payload_bytes = fetched.payload_bytes;
-  out.degraded = fetched.degraded;
-  cache->Publish(flight, std::move(out));
-}
-
-// Records which (component, slot) operands an evaluation touches without
-// reading anything: every fetch returns the same all-zeros bitmap.  The
-// slot pattern of the paper's algorithms depends only on (encoding, base,
-// op, v) — never on bitmap contents — so replaying the predicate over this
-// source enumerates exactly the fetches the real evaluation will issue.
-// Counts nothing (callers pass no stats); a misprediction costs one unused
-// read, never a wrong result.
-class ProbeSource final : public BitmapSource {
- public:
-  explicit ProbeSource(const BitmapSource& meta)
-      : meta_(meta), zeros_(Bitvector::Zeros(meta.num_records())) {}
-
-  const BaseSequence& base() const override { return meta_.base(); }
-  Encoding encoding() const override { return meta_.encoding(); }
-  size_t num_records() const override { return meta_.num_records(); }
-  uint32_t cardinality() const override { return meta_.cardinality(); }
-  const Bitvector& non_null() const override { return meta_.non_null(); }
-
-  Bitvector Fetch(int component, uint32_t slot,
-                  EvalStats* /*stats*/) const override {
-    Record(component, slot);
-    return zeros_;
-  }
-  const Bitvector* FetchView(int component, uint32_t slot,
-                             EvalStats* /*stats*/) const override {
-    Record(component, slot);
-    return &zeros_;
-  }
-
-  /// Distinct operands in first-touch order.
-  const std::vector<std::pair<int, uint32_t>>& touched() const {
-    return touched_;
-  }
-
- private:
-  void Record(int component, uint32_t slot) const {
-    for (const auto& t : touched_) {
-      if (t.first == component && t.second == slot) return;
-    }
-    touched_.emplace_back(component, slot);
-  }
-
-  const BitmapSource& meta_;
-  Bitvector zeros_;
-  mutable std::vector<std::pair<int, uint32_t>> touched_;
-};
-
 }  // namespace
-
-std::shared_ptr<const PrefetchPlanner::Plan> PrefetchPlanner::Get(
-    const BitmapSource& meta, uint32_t column, CompareOp op, int64_t v) {
-  const Key key{column, op, v};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-  }
-  // Probe outside the lock; a concurrent duplicate probe is harmless (the
-  // result is deterministic) and the first insert wins.
-  ProbeSource probe(meta);
-  EvaluatePredicate(probe, EvalAlgorithm::kAuto, op, v, nullptr);
-  auto plan = std::make_shared<const Plan>(probe.touched());
-  std::lock_guard<std::mutex> lock(mu_);
-  return plans_.emplace(key, std::move(plan)).first->second;
-}
 
 SharingSource::SharingSource(QuerySource* inner, OperandCache* cache,
                              uint32_t column, bool wah_direct,
-                             EvalStats* stats, const StoredIndex* stored,
-                             IoExecutor* io, PrefetchPlanner* planner,
                              uint32_t epoch)
     : inner_(inner),
       cache_(cache),
       column_(column),
       epoch_(epoch),
-      wah_direct_(wah_direct),
-      query_stats_(stats),
-      stored_(stored),
-      io_(io),
-      planner_(planner) {}
+      wah_direct_(wah_direct) {}
 
 const Status& SharingSource::status() const {
   if (!status_.ok()) return status_;
   return inner_->status();
-}
-
-void SharingSource::SubmitFetch(OperandCache::Flight flight,
-                                const OperandKey& key) const {
-  const StoredIndex* index = stored_;
-  OperandCache* cache = cache_;
-  io_->Submit([index, cache, flight = std::move(flight), key]() mutable {
-    RunFetchJob(index, cache, std::move(flight), key);
-  });
-}
-
-void SharingSource::Prefetch(CompareOp op, int64_t v,
-                             OperandKey::Kind kind) const {
-  if (io_ == nullptr || stored_ == nullptr) return;
-  if (!inner_->status().ok()) return;
-  std::shared_ptr<const PrefetchPlanner::Plan> plan;
-  if (planner_ != nullptr) {
-    plan = planner_->Get(*inner_, column_, op, v);
-  } else {
-    ProbeSource probe(*inner_);
-    EvaluatePredicate(probe, EvalAlgorithm::kAuto, op, v, nullptr);
-    plan = std::make_shared<const PrefetchPlanner::Plan>(probe.touched());
-  }
-  for (const auto& [component, slot] : *plan) {
-    OperandKey key;
-    key.column = column_;
-    key.component = component;
-    key.slot = slot;
-    key.epoch = epoch_;
-    key.kind = kind;
-    OperandCache::Flight flight = cache_->Begin(key);
-    // Warm, or already in flight (ours or another query's): nothing to
-    // submit.  Consumption decides hit-vs-self below.
-    if (!flight.owner()) continue;
-    OperandCache::SharedMissCounter().Increment();
-    prefetched_.insert(key);
-    SubmitFetch(std::move(flight), key);
-  }
-}
-
-std::shared_ptr<const CachedOperand> SharingSource::GetOperandAsync(
-    const OperandKey& key) const {
-  // A prefetched key is this query's own fetch arriving: its miss was
-  // counted at submission, and consuming it is not a shared hit.
-  bool initiated = prefetched_.erase(key) > 0;
-  OperandCache::Flight flight = cache_->Begin(key);
-  if (flight.owner()) {
-    // Cold despite any prefetch (not predicted, or published-failed and
-    // evicted): same single-flight discipline, fetch still runs off-lane.
-    OperandCache::SharedMissCounter().Increment();
-    SubmitFetch(flight, key);
-    initiated = true;
-  }
-  auto operand = cache_->Await(flight);
-  if (!initiated) {
-    ++shared_hits_;
-    OperandCache::SharedHitCounter().Increment();
-  } else if (query_stats_ != nullptr) {
-    // The fetch belongs to this query: charge the payload it read (the
-    // synchronous path charges identically through the inner source,
-    // including sibling reads of a failed reconstruction).
-    query_stats_->bytes_read += operand->payload_bytes;
-    obs::ProfCount(obs::ProfCounter::kBytesRead, operand->payload_bytes);
-  }
-  if (operand->degraded) degraded_ = true;
-  if (!operand->status.ok() && status_.ok() &&
-      operand->status.code() != Status::Code::kNotFound) {
-    status_ = operand->status;
-  }
-  return operand;
 }
 
 std::shared_ptr<const CachedOperand> SharingSource::GetOperand(
@@ -223,16 +42,12 @@ std::shared_ptr<const CachedOperand> SharingSource::GetOperand(
   key.epoch = epoch_;
   key.kind = kind;
 
-  if (io_ != nullptr && stored_ != nullptr) return GetOperandAsync(key);
-
   bool hit = false;
   auto operand = cache_->GetOrFetch(
       key,
       [&](CachedOperand* out) {
-        // Meter this fetch's payload via the query-stats delta (the inner
-        // source charges bytes there as it reads).
-        const int64_t bytes_before =
-            query_stats_ != nullptr ? query_stats_->bytes_read : 0;
+        // The inner source charges the bytes it reads to this query's
+        // stats, so only the fetching query pays for the payload.
         const bool degraded_before = inner_->degraded();
         if (kind == OperandKey::Kind::kWah) {
           const WahBitvector* wah = inner_->FetchWah(component, slot, nullptr);
@@ -251,9 +66,6 @@ std::shared_ptr<const CachedOperand> SharingSource::GetOperand(
             return;
           }
         }
-        out->payload_bytes =
-            (query_stats_ != nullptr ? query_stats_->bytes_read : 0) -
-            bytes_before;
         if (!degraded_before && inner_->degraded()) out->degraded = true;
       },
       &hit);

@@ -15,21 +15,8 @@
 // replay bit for bit.  Bytes read and decompress time are charged only to
 // the query that actually performed the fetch (hits read nothing).
 //
-// Async mode (stored + io both non-null): a cold operand's read no longer
-// runs inline on the query lane.  The owner of a cache flight submits a
-// fetch job to the I/O executor and Awaits the pending entry — the same
-// rendezvous synchronous publishes use — so waiters, single-flight, and
-// failure-eviction are untouched (storage/async_env.h, DESIGN.md §13).
-// Prefetch() makes the overlap real: it probe-replays the predicate over a
-// zero-bitmap recording source to enumerate the operands evaluation will
-// touch, then begins + submits every cold one before evaluation starts.
-// The probe fetches nothing and counts nothing; a wrong prediction costs
-// one wasted read, never a wrong result.  Accounting parity holds: the
-// initiating query is charged the fetch's bytes at consumption, misses are
-// counted at submission, and self-consumption of a prefetch is not a hit.
-//
 // Not thread-safe: one instance serves one query on one thread (the cache
-// it shares — and the executor jobs it submits — are what's concurrent).
+// it shares is what's concurrent).
 
 #ifndef BIX_SERVE_SHARING_SOURCE_H_
 #define BIX_SERVE_SHARING_SOURCE_H_
@@ -37,87 +24,26 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "core/eval_stats.h"
 #include "serve/operand_cache.h"
 #include "storage/stored_index.h"
 
-namespace bix {
-class IoExecutor;
-}  // namespace bix
-
 namespace bix::serve {
-
-/// Caches probe-replay results for Prefetch: the set of (component, slot)
-/// operands a predicate touches depends only on (column design, op, v) —
-/// never on bitmap contents — so concurrent queries pay the probe once per
-/// distinct predicate instead of once per query.  One instance per service
-/// (column ids are service-local).  Thread-safe; plans are immutable once
-/// computed.
-class PrefetchPlanner {
- public:
-  using Plan = std::vector<std::pair<int, uint32_t>>;
-
-  /// Returns the operand list evaluating `op v` against `column` touches,
-  /// probe-replaying over `meta` (the column's metadata view) on the first
-  /// call for this predicate.
-  std::shared_ptr<const Plan> Get(const BitmapSource& meta, uint32_t column,
-                                  CompareOp op, int64_t v);
-
- private:
-  struct Key {
-    uint32_t column;
-    CompareOp op;
-    int64_t v;
-    bool operator==(const Key& o) const {
-      return column == o.column && op == o.op && v == o.v;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      size_t h = std::hash<uint64_t>()(
-          (static_cast<uint64_t>(k.column) << 3) ^
-          static_cast<uint64_t>(k.op));
-      return h ^ (std::hash<int64_t>()(k.v) * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-
-  std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<const Plan>, KeyHash> plans_;
-};
 
 class SharingSource final : public QuerySource {
  public:
-  /// `inner` is this query's storage view; `stats` must be the same
-  /// EvalStats the inner source accumulates bytes into (used to meter each
-  /// fetch's payload).  `wah_direct` says the column serves WAH operand
-  /// payloads (BS scheme + "wah" codec), enabling the compressed cache
-  /// kind.  Passing `stored` (the BS-scheme index `inner` reads), `io`,
-  /// and `planner` (the service's shared probe-plan cache) enables the
-  /// async fetch path; any null keeps every fetch synchronous on the query
-  /// lane.  All pointers are borrowed and must outlive this object; `io`
-  /// must be drained before `cache` or `stored` die.  `epoch` is the
-  /// column's serve epoch at the moment the query bound its index (the
-  /// service bumps it on every column swap); it is stamped into every
-  /// cache key so this query can never consume an operand cached from an
-  /// earlier incarnation of the column (see OperandKey::epoch).
+  /// `inner` is this query's storage view; it charges the bytes of every
+  /// fetch this query performs to its own stats.  `wah_direct` says the
+  /// column serves WAH operand payloads (BS scheme + "wah" codec), enabling
+  /// the compressed cache kind.  Both pointers are borrowed and must
+  /// outlive this object.  `epoch` is the column's serve epoch at the
+  /// moment the query bound its index (the service bumps it on every
+  /// column swap); it is stamped into every cache key so this query can
+  /// never consume an operand cached from an earlier incarnation of the
+  /// column (see OperandKey::epoch).
   SharingSource(QuerySource* inner, OperandCache* cache, uint32_t column,
-                bool wah_direct, EvalStats* stats,
-                const StoredIndex* stored = nullptr,
-                IoExecutor* io = nullptr, PrefetchPlanner* planner = nullptr,
-                uint32_t epoch = 0);
-
-  /// Async mode only (no-op otherwise): enumerates the operands evaluating
-  /// `A op v` will fetch and submits an async read for every cold one, so
-  /// the reads run while this query — and its batch-mates — compute.
-  /// `kind` is the cache kind evaluation will consume (kWah when the
-  /// engine will FetchWah this column's stored payloads).
-  void Prefetch(CompareOp op, int64_t v, OperandKey::Kind kind) const;
+                bool wah_direct, uint32_t epoch);
 
   const BaseSequence& base() const override { return inner_->base(); }
   Encoding encoding() const override { return inner_->encoding(); }
@@ -150,31 +76,14 @@ class SharingSource final : public QuerySource {
   std::shared_ptr<const CachedOperand> GetOperand(
       int component, uint32_t slot, OperandKey::Kind kind) const;
 
-  // Async-mode GetOperand: flight owners submit the fetch to io_ and Await
-  // the pending entry instead of fetching inline.
-  std::shared_ptr<const CachedOperand> GetOperandAsync(
-      const OperandKey& key) const;
-
-  // Hands `flight` (owner) to the executor: the job fetches the operand
-  // from stored_ and Publishes through the entry.  Captures no `this`.
-  void SubmitFetch(OperandCache::Flight flight, const OperandKey& key) const;
-
   QuerySource* inner_;
   OperandCache* cache_;
   const uint32_t column_;
   const uint32_t epoch_;
   const bool wah_direct_;
-  EvalStats* query_stats_;
-  const StoredIndex* stored_;
-  IoExecutor* io_;
-  PrefetchPlanner* planner_;
   // Entries whose bitmaps were handed out as views; pinned until the query
   // finishes.
   mutable std::deque<std::shared_ptr<const CachedOperand>> pinned_;
-  // Keys whose miss was already counted when Prefetch submitted them;
-  // consuming one is this query collecting its own fetch, not a shared
-  // hit.
-  mutable std::unordered_set<OperandKey, OperandKeyHash> prefetched_;
   mutable Status status_;
   mutable bool degraded_ = false;
   mutable int64_t shared_hits_ = 0;

@@ -13,7 +13,6 @@ namespace bix::format {
 namespace {
 
 constexpr char kMagicV2[4] = {'B', 'I', 'X', '2'};
-constexpr char kMagicV1[4] = {'B', 'I', 'X', 'F'};
 constexpr char kMagicPerm[4] = {'B', 'I', 'X', 'P'};
 
 // All on-disk integers are little-endian; the library targets x86-64 /
@@ -77,17 +76,6 @@ std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
 
 Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
                       const std::string& name, CheckedBlob* out) {
-  if (file_bytes.size() >= 4 &&
-      std::memcmp(file_bytes.data(), kMagicV1, 4) == 0) {
-    // Legacy pre-checksum format: magic + raw_size + payload.
-    if (file_bytes.size() < 12) {
-      return Status::Corruption("short v1 file: " + name);
-    }
-    out->raw_size = Get64(file_bytes.data() + 4);
-    out->payload.assign(file_bytes.begin() + 12, file_bytes.end());
-    out->verified = false;
-    return Status::OK();
-  }
   if (file_bytes.size() < 32 ||
       std::memcmp(file_bytes.data(), kMagicV2, 4) != 0) {
     return Status::Corruption("bad magic: " + name);
@@ -126,7 +114,6 @@ Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
   }
   out->raw_size = raw_size;
   out->payload.assign(payload, payload + payload_size);
-  out->verified = true;
   return Status::OK();
 }
 
@@ -294,47 +281,14 @@ Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
   Manifest manifest;
   uint32_t generation = 0;
   Status ms = ReadManifest(env, dir, &manifest, &generation);
-  if (ms.code() == Status::Code::kNotFound) {
-    // Legacy index: no integrity metadata.  Apply structural checks only.
-    report->has_manifest = false;
-    std::vector<std::string> names;
-    Status s = env.ListDir(dir, &names);
-    if (!s.ok()) return s;
-    for (const std::string& name : names) {
-      bool blob = name.size() > 3 && name.ends_with(".bm");
-      if (!blob && name != "index.meta") continue;
-      FileCheck check;
-      check.name = name;
-      std::vector<uint8_t> bytes;
-      Status rs = env.ReadFileBytes(dir / name, &bytes);
-      if (!rs.ok()) {
-        check.state = FileCheck::State::kMissing;
-        check.detail = rs.ToString();
-      } else if (blob) {
-        CheckedBlob blob_data;
-        rs = DecodeBlobFile(bytes, name, &blob_data);
-        if (!rs.ok()) {
-          check.state = FileCheck::State::kCorrupt;
-          check.detail = std::string(rs.message());
-        } else {
-          check.state = blob_data.verified ? FileCheck::State::kOk
-                                           : FileCheck::State::kUnverified;
-          if (!blob_data.verified) check.detail = "v1 format, no checksums";
-        }
-      } else {
-        check.state = FileCheck::State::kUnverified;
-        check.detail = "v1 format, no checksums";
-      }
-      report->files.push_back(std::move(check));
-    }
-    return Status::OK();
-  }
-  report->has_manifest = true;
   if (!ms.ok()) {
-    report->manifest_ok = false;
+    // Without a readable manifest nothing else in the directory can be
+    // verified: report the manifest itself and stop.
     FileCheck check;
     check.name = kManifestFile;
-    check.state = FileCheck::State::kCorrupt;
+    check.state = ms.code() == Status::Code::kNotFound
+                      ? FileCheck::State::kMissing
+                      : FileCheck::State::kCorrupt;
     check.detail = std::string(ms.message());
     report->files.push_back(std::move(check));
     return Status::OK();

@@ -15,14 +15,11 @@
 // can say *which* 4 KiB of a file rotted, and a query touching other
 // bitmaps in a CS/IS file still learns about the damage before decoding.
 //
-// V1 files (magic "BIXF": u64 raw_size then payload, no checksums) from
-// pre-fault-tolerance indexes still load; they are flagged unverified.
-//
 // The manifest ("index.manifest") lists every file the index consists of
 // with its size and whole-file CRC32C, ends with a CRC line over its own
 // bytes, and is written write-temp-fsync-rename *after* every other file:
 // a crash anywhere mid-materialize leaves either no manifest (the index
-// refuses to open as verified) or a complete, consistent one — never a
+// refuses to open) or a complete, consistent one — never a
 // readable-but-wrong index.
 //
 // Manifest text format:
@@ -65,11 +62,10 @@ inline constexpr const char* kRowOrderFile = "roworder.perm";
 inline constexpr uint32_t kRowOrderVersion = 1;
 
 /// A decoded blob file: the still-codec-compressed payload plus the
-/// recorded raw size.  `verified` is false for V1 files (no checksums).
+/// recorded raw size.
 struct CheckedBlob {
   std::vector<uint8_t> payload;
   uint64_t raw_size = 0;
-  bool verified = false;
 };
 
 /// Serializes payload + checksummed header into one file image.
@@ -77,9 +73,9 @@ std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
                                     uint64_t raw_size,
                                     uint32_t block_size = kDefaultBlockSize);
 
-/// Parses a V2 or V1 file image, verifying header and per-block CRCs for
-/// V2.  On a checksum mismatch returns Corruption naming the bad block(s)
-/// and bumps storage.checksum_failures.
+/// Parses a V2 file image, verifying header and per-block CRCs.  Any other
+/// magic is Corruption ("bad magic"); on a checksum mismatch returns
+/// Corruption naming the bad block(s) and bumps storage.checksum_failures.
 Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
                       const std::string& name, CheckedBlob* out);
 
@@ -125,7 +121,7 @@ Status DecodeManifest(std::span<const uint8_t> bytes, Manifest* out,
 Status WriteManifest(const Env& env, const std::filesystem::path& dir,
                      const Manifest& manifest, uint32_t generation = 0);
 
-/// Reads <dir>/index.manifest; NotFound when absent (a V1 index).
+/// Reads <dir>/index.manifest; NotFound when absent.
 Status ReadManifest(const Env& env, const std::filesystem::path& dir,
                     Manifest* out, uint32_t* generation = nullptr);
 
@@ -142,12 +138,11 @@ struct FileCheck {
 const char* ToString(FileCheck::State state);
 
 struct ScrubReport {
-  bool has_manifest = false;
   bool manifest_ok = false;
   std::vector<FileCheck> files;
 
   bool clean() const {
-    if (has_manifest && !manifest_ok) return false;
+    if (!manifest_ok) return false;
     for (const FileCheck& f : files) {
       if (f.state == FileCheck::State::kCorrupt ||
           f.state == FileCheck::State::kMissing) {
@@ -159,14 +154,13 @@ struct ScrubReport {
 };
 
 /// Reads every file named by the manifest, verifying manifest size +
-/// whole-file CRC and (for V2 blobs) per-block CRCs.  Without a manifest
-/// the directory's .bm/.meta files get basic V1 header checks and are
-/// reported kUnverified.  Mutation sidecars (g<N>.delta append logs and
-/// g<N>.tomb tombstone blobs) are scrubbed too: current-generation logs
-/// are record-parsed (torn tail -> kRecoverable, rot -> kCorrupt), stale
-/// generations are flagged kUnverified orphans.  The report is filled
-/// even when the returned status is non-OK (an unreadable manifest still
-/// yields a report saying so).
+/// whole-file CRC and (for blobs) per-block CRCs.  A missing or corrupt
+/// manifest is reported as the only file (kMissing / kCorrupt): nothing
+/// else can be verified without it.  Mutation sidecars (g<N>.delta append
+/// logs and g<N>.tomb tombstone blobs) are scrubbed too: current-generation
+/// logs are record-parsed (torn tail -> kRecoverable, rot -> kCorrupt),
+/// stale generations are flagged kUnverified orphans.  Every problem is
+/// reported per file in `report`.
 Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
                      ScrubReport* report);
 

@@ -124,7 +124,6 @@ Status StoredIndex::ReadCheckedFile(const std::string& name,
     return env_->ReadFileBytes(dir_ / name, bytes);
   });
   if (!s.ok()) return s;
-  if (!verified_) return Status::OK();
   auto it = manifest_.find(name);
   if (it == manifest_.end()) {
     return Status::Corruption("file not in manifest: " + name);
@@ -610,17 +609,17 @@ Status StoredIndex::Open(const std::filesystem::path& dir,
 }
 
 Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
-  // Manifest first: it decides whether every later read is verified, and
-  // its generation tag decides which file names are current.
+  // Manifest first: every later read is verified against it, and its
+  // generation tag decides which file names are current.
   {
     Status s = format::ReadManifest(*env_, dir, &manifest_, &generation_);
-    if (s.ok()) {
-      verified_ = true;
-    } else if (s.code() == Status::Code::kNotFound) {
-      verified_ = false;  // legacy (V1) index
-    } else {
-      return s;
+    if (s.code() == Status::Code::kNotFound) {
+      // An index always materializes its manifest last; its absence means
+      // the materialize never finished (or the manifest was destroyed).
+      return Status::Corruption(
+          "index has no manifest (torn materialize?): " + dir.string());
     }
+    if (!s.ok()) return s;
     prefix_ = GenerationPrefix(generation_);
   }
 
@@ -632,14 +631,7 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
                   meta_bytes.size()));
   std::string header;
   std::getline(f, header);
-  if (header == "bix_index_meta_v2") {
-    if (!verified_) {
-      // A V2 index always materializes its manifest last; its absence means
-      // the materialize never finished (or the manifest was destroyed).
-      return Status::Corruption(
-          "v2 index has no manifest (torn materialize?): " + dir.string());
-    }
-  } else if (header != "bix_index_meta_v1") {
+  if (header != "bix_index_meta_v2") {
     return Status::Corruption("unknown metadata header");
   }
   std::string key;
@@ -700,7 +692,7 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
   codec_ = CodecByName(codec_name);
   if (codec_ == nullptr) return Status::Corruption("bad codec: " + codec_name);
 
-  // Non-null bitmap (stored uncompressed; V2 blob or legacy V1).
+  // Non-null bitmap (stored uncompressed in a blob file).
   {
     std::vector<uint8_t> bytes;
     Status nn = ReadCheckedFile(prefix_ + kNonNullFile, &bytes);

@@ -168,11 +168,6 @@ class StoredIndex {
   /// query admitted after a compaction swapped the index.
   uint32_t generation() const { return generation_; }
 
-  /// True when the directory carries a valid manifest and reads are
-  /// checksum-verified end to end; false for legacy (V1) indexes, which
-  /// still load but whose bytes are trusted as-is.
-  bool verified() const { return verified_; }
-
   /// Total on-disk payload bytes of the index bitmap files (compressed
   /// size; excludes the metadata and the shared non-null bitmap).
   int64_t stored_bytes() const { return stored_bytes_; }
@@ -214,10 +209,8 @@ class StoredIndex {
 
   /// Fetches one stored bitmap of a BS-scheme index (aborts on other
   /// schemes — their operands live in per-query row-major buffers, not
-  /// per-bitmap files).  This is the operand-materialization kernel the
-  /// per-query source and the serve layer's async I/O jobs share, so a
-  /// fetch has identical semantics whether it runs on a query lane or an
-  /// I/O thread:
+  /// per-bitmap files).  This is the operand-materialization kernel behind
+  /// the per-query source's fetches:
   ///  * `wah` false: read + verify + decode with full retry handling; a
   ///    corrupt equality slice (base > 2) is healed from its siblings
   ///    (`out->degraded`).  Non-OK only when recovery failed.
@@ -278,7 +271,6 @@ class StoredIndex {
   Bitvector non_null_;
   int64_t stored_bytes_ = 0;
   int64_t uncompressed_bytes_ = 0;
-  bool verified_ = false;
   // Sort permutation from the roworder.perm sidecar; empty when unsorted.
   std::vector<uint32_t> row_order_;
   RowOrder row_order_kind_ = RowOrder::kNone;

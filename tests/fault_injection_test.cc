@@ -361,29 +361,29 @@ TEST(FaultInjectionTest, EqualitySliceRotIsHealedByReconstruction) {
 }
 
 // ---------------------------------------------------------------------------
-// Faults firing inside async reads (serve layer, src/storage/async_env.h)
+// Faults firing inside served reads (serve layer, src/serve/)
 //
-// The async path moves cold operand fetches to I/O threads but reads
-// through the same FaultInjectingEnv seam, so fault plans fire inside
-// async jobs unchanged.  These tests hold the chaos contract across that
-// move: transient errors heal through the existing retry policy, sticky
-// errors surface a typed Status to every query joined on the operand, and
-// nothing is ever silently wrong.
+// The service fetches cold operands through the shared single-flight
+// cache, reading through the same FaultInjectingEnv seam, so fault plans
+// fire inside served queries unchanged.  These tests hold the chaos
+// contract across that layer: transient errors heal through the existing
+// retry policy, sticky errors surface a typed Status to every query joined
+// on the operand, and nothing is ever silently wrong.
 
-// One small BS index opened over a fault-injecting env, served with async
-// I/O enabled.
-struct AsyncChaosFixture {
+// One small BS index opened over a fault-injecting env, served through the
+// shared operand cache.
+struct ServeChaosFixture {
   TempDir dir;
   std::vector<uint32_t> values;
   std::unique_ptr<StoredIndex> stored;
   std::unique_ptr<FaultInjectingEnv> env;
 
-  void Build(FaultPlan plan) {
+  void Build(FaultPlan plan, Encoding encoding = Encoding::kRange) {
     std::mt19937_64 rng(4242);
     values.resize(400);
     for (uint32_t& v : values) v = static_cast<uint32_t>(rng() % 8);
     BitmapIndex index = BitmapIndex::Build(
-        values, 8, BaseSequence::FromLsbFirst({8}), Encoding::kRange);
+        values, 8, BaseSequence::FromLsbFirst({8}), encoding);
     std::unique_ptr<StoredIndex> clean;
     ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
                                    StorageScheme::kBitmapLevel,
@@ -399,8 +399,8 @@ struct AsyncChaosFixture {
   }
 };
 
-TEST(FaultInjectionAsyncTest, TransientFaultsInsideAsyncReadsHeal) {
-  AsyncChaosFixture fx;
+TEST(FaultInjectionServeTest, TransientFaultsInsideServedReadsHeal) {
+  ServeChaosFixture fx;
   FaultPlan plan;
   // Reads of any bitmap file fail four times total before healing — inside
   // the per-read retry budget of 5 attempts.
@@ -410,8 +410,6 @@ TEST(FaultInjectionAsyncTest, TransientFaultsInsideAsyncReadsHeal) {
 
   serve::ServeOptions options;
   options.num_threads = 4;
-  options.io_threads = 2;
-  options.io_depth = 4;
   options.max_pending = 256;
   serve::QueryService service(options);
   service.AddColumn(fx.stored.get());
@@ -440,8 +438,8 @@ TEST(FaultInjectionAsyncTest, TransientFaultsInsideAsyncReadsHeal) {
       << "the plan never fired — the test proved nothing";
 }
 
-TEST(FaultInjectionAsyncTest, StickyAsyncFailureSurfacesTypedToAllWaiters) {
-  AsyncChaosFixture fx;
+TEST(FaultInjectionServeTest, StickyFailureSurfacesTypedToAllWaiters) {
+  ServeChaosFixture fx;
   FaultPlan plan;
   // Every read of slot 3's bitmap fails forever; range encoding has no
   // sibling reconstruction, so queries needing that operand must fail
@@ -452,7 +450,6 @@ TEST(FaultInjectionAsyncTest, StickyAsyncFailureSurfacesTypedToAllWaiters) {
 
   serve::ServeOptions options;
   options.num_threads = 8;
-  options.io_threads = 2;
   options.max_pending = 256;
   serve::QueryService service(options);
   service.AddColumn(fx.stored.get());
@@ -496,6 +493,130 @@ TEST(FaultInjectionAsyncTest, StickyAsyncFailureSurfacesTypedToAllWaiters) {
       }
     }
   }
+}
+
+serve::ServeQuery ServeEq(uint64_t id, uint32_t value) {
+  serve::ServeQuery sq;
+  sq.id = id;
+  sq.op = CompareOp::kEq;
+  sq.value = value;
+  return sq;
+}
+
+// A fetch that exhausts its retry budget fails the query, and the failure
+// is not cached: the next batch fetches the operand afresh and, once the
+// fault has healed, answers exactly.
+TEST(FaultInjectionServeTest, FailedFlightIsRetriedByTheNextBatch) {
+  ServeChaosFixture fx;
+  FaultPlan plan;
+  // Seven failures: more than one read's budget of 5 attempts, fewer than
+  // two reads' worth.
+  plan.faults.push_back({FaultSpec::Kind::kTransient, "c0_b3.bm", 0, 0, 7});
+  fx.Build(std::move(plan));
+  if (HasFatalFailure()) return;
+
+  serve::ServeOptions options;
+  options.num_threads = 1;
+  options.max_pending = 16;
+  serve::QueryService service(options);
+  service.AddColumn(fx.stored.get());
+  const std::vector<serve::ServeQuery> batch = {ServeEq(0, 3)};
+
+  std::vector<serve::ServeResult> first = service.RunBatch(batch);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].status.code(), Status::Code::kIoError)
+      << first[0].status.ToString();
+  EXPECT_EQ(first[0].row_count, 0u);
+
+  std::vector<serve::ServeResult> second = service.RunBatch(batch);
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(second[0].status.ok()) << second[0].status.ToString();
+  EXPECT_EQ(second[0].foundset, ScanEvaluate(fx.values, CompareOp::kEq, 3));
+  EXPECT_EQ(fx.env->injected_errors(), 7);
+}
+
+// Bit rot in a range-encoded bitmap (no sibling redundancy) fails every
+// served query that needs it with a typed Corruption, batch after batch;
+// every other query still answers exactly.
+TEST(FaultInjectionServeTest, BitRotInsideServedReadFailsTypedNeverWrong) {
+  ServeChaosFixture fx;
+  FaultPlan plan;
+  plan.faults.push_back({FaultSpec::Kind::kBitFlip, "c0_b3.bm", 40, 5, 1});
+  fx.Build(std::move(plan));
+  if (HasFatalFailure()) return;
+
+  serve::ServeOptions options;
+  options.num_threads = 4;
+  options.max_pending = 256;
+  serve::QueryService service(options);
+  service.AddColumn(fx.stored.get());
+
+  std::vector<serve::ServeQuery> queries;
+  for (const Query& q : AllSelectionQueries(8)) {
+    serve::ServeQuery sq;
+    sq.id = queries.size();
+    sq.op = q.op;
+    sq.value = q.v;
+    queries.push_back(sq);
+  }
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<serve::ServeResult> results = service.RunBatch(queries);
+    ASSERT_EQ(results.size(), queries.size());
+    int failed = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      if (!results[i].status.ok()) {
+        EXPECT_EQ(results[i].status.code(), Status::Code::kCorruption)
+            << results[i].status.ToString();
+        EXPECT_EQ(results[i].row_count, 0u);
+        ++failed;
+        continue;
+      }
+      EXPECT_EQ(results[i].foundset,
+                ScanEvaluate(fx.values, queries[i].op, queries[i].value));
+    }
+    EXPECT_GT(failed, 0) << "no query touched the rotted bitmap";
+    EXPECT_LT(failed, static_cast<int>(results.size()));
+  }
+  EXPECT_GT(fx.env->injected_corruptions(), 0);
+}
+
+// Rot in one equality slice is healed by sibling reconstruction inside the
+// served fetch; the reconstructed operand is cached, and every query that
+// consumes it — the fetcher and later hits alike — is flagged degraded.
+TEST(FaultInjectionServeTest, ReconstructedOperandIsDegradedOnEveryHit) {
+  ServeChaosFixture fx;
+  FaultPlan plan;
+  plan.faults.push_back({FaultSpec::Kind::kBitFlip, "c0_b3.bm", 40, 2, 1});
+  fx.Build(std::move(plan), Encoding::kEquality);
+  if (HasFatalFailure()) return;
+
+  serve::ServeOptions options;
+  options.num_threads = 1;
+  options.max_pending = 16;
+  serve::QueryService service(options);
+  service.AddColumn(fx.stored.get());
+  const Bitvector expected = ScanEvaluate(fx.values, CompareOp::kEq, 3);
+
+  std::vector<serve::ServeResult> fetched = service.RunBatch({ServeEq(0, 3)});
+  ASSERT_EQ(fetched.size(), 1u);
+  ASSERT_TRUE(fetched[0].status.ok()) << fetched[0].status.ToString();
+  EXPECT_TRUE(fetched[0].degraded);
+  EXPECT_EQ(fetched[0].foundset, expected);
+
+  std::vector<serve::ServeResult> hit = service.RunBatch({ServeEq(1, 3)});
+  ASSERT_EQ(hit.size(), 1u);
+  ASSERT_TRUE(hit[0].status.ok()) << hit[0].status.ToString();
+  EXPECT_GT(hit[0].shared_hits, 0);
+  EXPECT_TRUE(hit[0].degraded) << "a cached reconstruction stays degraded";
+  EXPECT_EQ(hit[0].foundset, expected);
+
+  // A query that never touches slice 3 is not degraded.
+  std::vector<serve::ServeResult> other = service.RunBatch({ServeEq(2, 5)});
+  ASSERT_TRUE(other[0].status.ok()) << other[0].status.ToString();
+  EXPECT_FALSE(other[0].degraded);
+  EXPECT_EQ(other[0].foundset, ScanEvaluate(fx.values, CompareOp::kEq, 5));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,10 +24,10 @@
 #include "core/bitmap_index.h"
 #include "core/eval.h"
 #include "core/eval_stats.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/operand_cache.h"
 #include "serve/service.h"
-#include "storage/async_env.h"
 #include "storage/stored_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -151,6 +152,372 @@ TEST(OperandCacheTest, EvictionKeepsHandedOutOperandsAlive) {
   // A re-fetch of the evicted key is a miss again.
   cache.GetOrFetch(Key(0, 0, 0), fetch_bits(0), &hit);
   EXPECT_FALSE(hit);
+}
+
+int64_t SharedFetchCounter(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
+}
+
+// Spins until `n` more lookups have joined an existing entry since `base`
+// (a joiner counts its hit before it blocks on the flight), so a test can
+// release a fetch knowing exactly who joined it.
+void WaitForSharedHits(int64_t base, int64_t n) {
+  while (SharedFetchCounter("serve.shared_fetch_hits") < base + n) {
+    std::this_thread::yield();
+  }
+}
+
+// A fetch that announces it has started, then holds its flight open until
+// the test releases it.
+struct HeldFetch {
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+
+  serve::OperandCache::FetchFn Fn(std::atomic<int>* fetches,
+                                  serve::CachedOperand result) {
+    return [this, fetches, result](serve::CachedOperand* out) {
+      fetches->fetch_add(1);
+      started.set_value();
+      released.wait();
+      *out = result;
+    };
+  }
+};
+
+serve::CachedOperand DenseOnes(size_t n) {
+  serve::CachedOperand op;
+  op.dense = Bitvector::Ones(n);
+  return op;
+}
+
+// Lookups that arrive while the fetch is in flight block on it and wake
+// with the fetcher's operand; none returns before the publish.
+TEST(OperandCacheTest, JoinersBlockUntilTheFetchPublishes) {
+  serve::OperandCache cache;
+  const serve::OperandKey key = Key(0, 0, 3);
+  std::atomic<int> fetches{0};
+  HeldFetch held;
+
+  std::shared_ptr<const serve::CachedOperand> owner_result;
+  std::thread owner([&] {
+    bool hit = true;
+    owner_result =
+        cache.GetOrFetch(key, held.Fn(&fetches, DenseOnes(32)), &hit);
+    EXPECT_FALSE(hit);
+  });
+  held.started.get_future().wait();
+
+  const int64_t hits_before = SharedFetchCounter("serve.shared_fetch_hits");
+  std::atomic<int> woke{0};
+  std::vector<std::shared_ptr<const serve::CachedOperand>> results(4);
+  std::vector<std::thread> waiters;
+  for (size_t i = 0; i < results.size(); ++i) {
+    waiters.emplace_back([&, i] {
+      bool hit = false;
+      results[i] = cache.GetOrFetch(
+          key,
+          [&](serve::CachedOperand* out) {
+            fetches.fetch_add(1);
+            out->dense = Bitvector::Zeros(32);
+          },
+          &hit);
+      EXPECT_TRUE(hit);
+      woke.fetch_add(1);
+    });
+  }
+  WaitForSharedHits(hits_before, 4);
+  EXPECT_EQ(woke.load(), 0) << "a joiner returned before any publish";
+  EXPECT_EQ(cache.size(), 0u) << "a pending entry is not ready";
+
+  held.release.set_value();
+  owner.join();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(woke.load(), 4);
+  EXPECT_EQ(fetches.load(), 1);
+  ASSERT_NE(owner_result, nullptr);
+  EXPECT_EQ(owner_result->dense.Count(), 32u);
+  for (const auto& r : results) EXPECT_EQ(r.get(), owner_result.get());
+}
+
+// Flights are per key: a slow fetch of one operand never holds up the
+// fetch of another, and each publish lands on its own key.
+TEST(OperandCacheTest, FlightsOnDifferentKeysCompleteIndependently) {
+  serve::OperandCache cache;
+  const serve::OperandKey key_a = Key(0, 0, 1);
+  const serve::OperandKey key_b = Key(0, 0, 2);
+  std::atomic<int> fetches{0};
+  HeldFetch held;
+
+  std::shared_ptr<const serve::CachedOperand> got_a;
+  std::thread slow([&] {
+    got_a = cache.GetOrFetch(key_a, held.Fn(&fetches, DenseOnes(8)), nullptr);
+  });
+  held.started.get_future().wait();
+
+  // B is fetched and ready while A is still in flight.
+  bool hit = true;
+  auto got_b = cache.GetOrFetch(
+      key_b,
+      [&](serve::CachedOperand* out) {
+        fetches.fetch_add(1);
+        out->dense = Bitvector::Zeros(8);
+      },
+      &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(got_b->dense.Count(), 0u);
+  EXPECT_EQ(cache.size(), 1u) << "only B is ready";
+
+  held.release.set_value();
+  slow.join();
+  EXPECT_EQ(got_a->dense.Count(), 8u);
+  EXPECT_EQ(cache.size(), 2u);
+  auto fail_fetch = [](serve::CachedOperand* out) {
+    out->status = Status::InvalidArgument("ready entries must not refetch");
+  };
+  EXPECT_EQ(cache.GetOrFetch(key_a, fail_fetch, &hit)->dense.Count(), 8u);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.GetOrFetch(key_b, fail_fetch, &hit)->dense.Count(), 0u);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(fetches.load(), 2);
+}
+
+// A failed fetch delivers its typed status to every lookup that joined the
+// flight, then evicts the entry so the next lookup fetches afresh.
+TEST(OperandCacheTest, FailedFetchReachesJoinedWaitersThenEvicts) {
+  serve::OperandCache cache;
+  const serve::OperandKey key = Key(1, 0, 0);
+  std::atomic<int> fetches{0};
+  HeldFetch held;
+  serve::CachedOperand failure;
+  failure.status = Status::IoError("disk ate the bitmap");
+
+  std::thread owner([&] {
+    auto operand = cache.GetOrFetch(key, held.Fn(&fetches, failure), nullptr);
+    EXPECT_EQ(operand->status.code(), Status::Code::kIoError);
+  });
+  held.started.get_future().wait();
+
+  const int64_t hits_before = SharedFetchCounter("serve.shared_fetch_hits");
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.emplace_back([&] {
+      bool hit = false;
+      auto operand = cache.GetOrFetch(
+          key, [&](serve::CachedOperand*) { fetches.fetch_add(1); }, &hit);
+      EXPECT_TRUE(hit);
+      EXPECT_EQ(operand->status.code(), Status::Code::kIoError);
+      EXPECT_NE(operand->status.ToString().find("disk ate the bitmap"),
+                std::string::npos);
+    });
+  }
+  WaitForSharedHits(hits_before, 3);
+  held.release.set_value();
+  owner.join();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(fetches.load(), 1) << "joiners must not fetch";
+  EXPECT_EQ(cache.size(), 0u);
+
+  bool hit = true;
+  auto retried = cache.GetOrFetch(
+      key,
+      [&](serve::CachedOperand* out) {
+        fetches.fetch_add(1);
+        out->dense = Bitvector::Ones(4);
+      },
+      &hit);
+  EXPECT_FALSE(hit) << "the failed entry must be evicted for retry";
+  EXPECT_TRUE(retried->status.ok());
+  EXPECT_EQ(retried->dense.Count(), 4u);
+  EXPECT_EQ(fetches.load(), 2);
+}
+
+// serve.shared_fetch_misses counts the lookups that fetched (failed ones
+// included); serve.shared_fetch_hits counts the ones served without
+// fetching.
+TEST(OperandCacheTest, HitsAndMissesAreCounted) {
+  serve::OperandCache cache;
+  const int64_t hits = SharedFetchCounter("serve.shared_fetch_hits");
+  const int64_t misses = SharedFetchCounter("serve.shared_fetch_misses");
+  auto ok_fetch = [](serve::CachedOperand* out) {
+    out->dense = Bitvector::Ones(8);
+  };
+  auto failing_fetch = [](serve::CachedOperand* out) {
+    out->status = Status::IoError("transient");
+  };
+
+  cache.GetOrFetch(Key(0, 0, 0), ok_fetch, nullptr);       // miss
+  cache.GetOrFetch(Key(0, 0, 0), ok_fetch, nullptr);       // hit
+  cache.GetOrFetch(Key(0, 0, 1), failing_fetch, nullptr);  // miss, fails
+  cache.GetOrFetch(Key(0, 0, 1), ok_fetch, nullptr);       // miss, retry
+  cache.GetOrFetch(Key(0, 0, 1), ok_fetch, nullptr);       // hit
+
+  EXPECT_EQ(SharedFetchCounter("serve.shared_fetch_hits") - hits, 2);
+  EXPECT_EQ(SharedFetchCounter("serve.shared_fetch_misses") - misses, 3);
+}
+
+// Eviction is least-recently-used: a hit refreshes an entry's recency.
+TEST(OperandCacheTest, HitRefreshesLruRecency) {
+  serve::OperandCache::Options options;
+  options.max_entries = 2;
+  serve::OperandCache cache(options);
+  auto fetch = [](serve::CachedOperand* out) {
+    out->dense = Bitvector::Ones(8);
+  };
+  bool hit = false;
+
+  cache.GetOrFetch(Key(0, 0, 0), fetch, &hit);  // A
+  cache.GetOrFetch(Key(0, 0, 1), fetch, &hit);  // B
+  cache.GetOrFetch(Key(0, 0, 0), fetch, &hit);  // A again: most recent
+  EXPECT_TRUE(hit);
+  cache.GetOrFetch(Key(0, 0, 2), fetch, &hit);  // C evicts B, not A
+  EXPECT_EQ(cache.size(), 2u);
+
+  cache.GetOrFetch(Key(0, 0, 0), fetch, &hit);
+  EXPECT_TRUE(hit) << "the refreshed entry must survive";
+  cache.GetOrFetch(Key(0, 0, 1), fetch, &hit);
+  EXPECT_FALSE(hit) << "the least recently used entry must be evicted";
+}
+
+// Clear drops ready entries only: a fetch in flight across the Clear still
+// serves the lookups that join it and lands in the cache when it publishes.
+TEST(OperandCacheTest, ClearKeepsAFlightInProgress) {
+  serve::OperandCache cache;
+  const serve::OperandKey pending = Key(0, 0, 7);
+  const serve::OperandKey ready = Key(0, 0, 8);
+  std::atomic<int> fetches{0};
+  HeldFetch held;
+
+  std::shared_ptr<const serve::CachedOperand> owner_result;
+  std::thread owner([&] {
+    owner_result =
+        cache.GetOrFetch(pending, held.Fn(&fetches, DenseOnes(16)), nullptr);
+  });
+  held.started.get_future().wait();
+  auto count_fetch = [&](serve::CachedOperand* out) {
+    fetches.fetch_add(1);
+    out->dense = Bitvector::Ones(4);
+  };
+  cache.GetOrFetch(ready, count_fetch, nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+
+  const int64_t hits_before = SharedFetchCounter("serve.shared_fetch_hits");
+  std::shared_ptr<const serve::CachedOperand> joined;
+  std::thread joiner([&] {
+    bool hit = false;
+    joined = cache.GetOrFetch(pending, count_fetch, &hit);
+    EXPECT_TRUE(hit) << "Clear must not orphan a flight in progress";
+  });
+  WaitForSharedHits(hits_before, 1);
+  held.release.set_value();
+  owner.join();
+  joiner.join();
+  EXPECT_EQ(joined.get(), owner_result.get());
+  EXPECT_EQ(joined->dense.Count(), 16u);
+  EXPECT_EQ(cache.size(), 1u) << "the flight publishes into the cache";
+
+  bool hit = true;
+  cache.GetOrFetch(ready, count_fetch, &hit);
+  EXPECT_FALSE(hit) << "a cleared ready entry is fetched again";
+  EXPECT_EQ(fetches.load(), 3);
+}
+
+// Pending entries are pinned on top of the capacity: eviction churn while
+// a fetch is in flight never drops the flight its waiters depend on.
+TEST(OperandCacheTest, PendingFetchIsPinnedAboveTheCap) {
+  serve::OperandCache::Options options;
+  options.max_entries = 1;
+  serve::OperandCache cache(options);
+  const serve::OperandKey pending = Key(2, 0, 0);
+  std::atomic<int> fetches{0};
+  HeldFetch held;
+
+  std::thread owner([&] {
+    cache.GetOrFetch(pending, held.Fn(&fetches, DenseOnes(24)), nullptr);
+  });
+  held.started.get_future().wait();
+  auto small_fetch = [&](serve::CachedOperand* out) {
+    fetches.fetch_add(1);
+    out->dense = Bitvector::Ones(2);
+  };
+  for (uint32_t slot = 1; slot <= 3; ++slot) {
+    cache.GetOrFetch(Key(2, 0, slot), small_fetch, nullptr);
+    EXPECT_EQ(cache.size(), 1u);
+  }
+
+  const int64_t hits_before = SharedFetchCounter("serve.shared_fetch_hits");
+  std::shared_ptr<const serve::CachedOperand> joined;
+  std::thread joiner([&] {
+    bool hit = false;
+    joined = cache.GetOrFetch(pending, small_fetch, &hit);
+    EXPECT_TRUE(hit);
+  });
+  WaitForSharedHits(hits_before, 1);
+  held.release.set_value();
+  owner.join();
+  joiner.join();
+  EXPECT_EQ(joined->dense.Count(), 24u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(fetches.load(), 4);
+
+  bool hit = false;
+  auto again = cache.GetOrFetch(pending, small_fetch, &hit);
+  EXPECT_TRUE(hit) << "the last published entry is the most recent one";
+  EXPECT_EQ(again->dense.Count(), 24u);
+}
+
+// Every field of the key names a different payload: column, component,
+// slot, serve epoch and representation kind each make a distinct entry.
+TEST(OperandCacheTest, EveryKeyFieldSeparatesEntries) {
+  serve::OperandCache cache;
+  std::vector<serve::OperandKey> keys(6, Key(1, 1, 1));
+  keys[1].column = 2;
+  keys[2].component = 2;
+  keys[3].slot = 2;
+  keys[4].epoch = 1;
+  keys[5].kind = serve::OperandKey::Kind::kWah;
+
+  for (size_t i = 0; i < keys.size(); ++i) {
+    bool hit = true;
+    auto operand = cache.GetOrFetch(
+        keys[i],
+        [i](serve::CachedOperand* out) { out->dense = Bitvector::Ones(i + 1); },
+        &hit);
+    EXPECT_FALSE(hit) << "key " << i << " collided with an earlier key";
+    EXPECT_EQ(operand->dense.Count(), i + 1);
+  }
+  EXPECT_EQ(cache.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    bool hit = false;
+    auto operand = cache.GetOrFetch(
+        keys[i], [](serve::CachedOperand* out) { out->dense = {}; }, &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(operand->dense.Count(), i + 1) << "key " << i;
+  }
+}
+
+// A sibling-reconstructed operand stays flagged degraded for every later
+// query that consumes it from the cache.
+TEST(OperandCacheTest, DegradedFlagReachesEveryHit) {
+  serve::OperandCache cache;
+  const serve::OperandKey key = Key(0, 0, 4);
+  auto first = cache.GetOrFetch(
+      key,
+      [](serve::CachedOperand* out) {
+        out->dense = Bitvector::Ones(8);
+        out->degraded = true;
+      },
+      nullptr);
+  EXPECT_TRUE(first->degraded);
+  bool hit = false;
+  auto again = cache.GetOrFetch(
+      key, [](serve::CachedOperand* out) { out->dense = {}; }, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(again->degraded);
+  EXPECT_EQ(again.get(), first.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -549,54 +916,9 @@ TEST(ServeDifferentialTest, TinyCacheStillBitIdentical) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Async I/O under the service
-
-// The async guarantee extends the tentpole differential: shared execution
-// with cold fetches running on I/O threads (and prefetch submitting them
-// early) is still observationally identical to a sequential unshared
-// replay — same foundsets, same scan and op counts per query.  A tiny
-// queue depth forces submit-side backpressure on every batch.
-TEST(ServeAsyncDifferentialTest, AsyncSharedMatchesSequentialUnshared) {
-  for (EngineKind engine : {EngineKind::kPlain, EngineKind::kWah}) {
-    SCOPED_TRACE(ToString(engine));
-    ServeFixture fx;
-    fx.Build();
-    std::vector<serve::ServeQuery> queries = fx.MakeQueries(200);
-
-    serve::ServeOptions sequential;
-    sequential.num_threads = 1;
-    sequential.share_operands = false;
-    sequential.max_pending = queries.size();
-    sequential.engine = engine;
-    serve::QueryService reference(sequential);
-    for (const auto& idx : fx.indexes) reference.AddColumn(idx.get());
-    std::vector<serve::ServeResult> expected = reference.RunBatch(queries);
-
-    serve::ServeOptions async = sequential;
-    async.num_threads = 8;
-    async.share_operands = true;
-    async.io_threads = 4;
-    async.io_depth = 2;  // exercise Submit backpressure, not just overlap
-    serve::QueryService service(async);
-    for (const auto& idx : fx.indexes) service.AddColumn(idx.get());
-    std::vector<serve::ServeResult> got = service.RunBatch(queries);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE("query " + std::to_string(i));
-      ASSERT_TRUE(got[i].status.ok()) << got[i].status.ToString();
-      EXPECT_EQ(got[i].foundset, expected[i].foundset);
-      EXPECT_EQ(got[i].row_count, expected[i].row_count);
-      EXPECT_EQ(got[i].stats.bitmap_scans, expected[i].stats.bitmap_scans);
-      EXPECT_EQ(got[i].stats.TotalOps(), expected[i].stats.TotalOps());
-    }
-  }
-}
-
-// Same guarantee on a cold cache per batch: every operand fetch actually
-// exercises the async read path (no residual warmth from earlier batches).
-TEST(ServeAsyncDifferentialTest, ColdCacheAsyncStillBitIdentical) {
+// The differential on a cold cache per query: every operand is fetched by
+// the query that needs it (no residual warmth from earlier batches).
+TEST(ServeDifferentialTest, ColdCachePerQueryStillBitIdentical) {
   ServeFixture fx;
   fx.Build();
   std::vector<serve::ServeQuery> queries = fx.MakeQueries(60);
@@ -609,11 +931,10 @@ TEST(ServeAsyncDifferentialTest, ColdCacheAsyncStillBitIdentical) {
   for (const auto& idx : fx.indexes) reference.AddColumn(idx.get());
   std::vector<serve::ServeResult> expected = reference.RunBatch(queries);
 
-  serve::ServeOptions async = sequential;
-  async.num_threads = 8;
-  async.share_operands = true;
-  async.io_threads = 2;
-  serve::QueryService service(async);
+  serve::ServeOptions shared = sequential;
+  shared.num_threads = 8;
+  shared.share_operands = true;
+  serve::QueryService service(shared);
   for (const auto& idx : fx.indexes) service.AddColumn(idx.get());
   std::vector<serve::ServeResult> got;
   for (const serve::ServeQuery& q : queries) {
@@ -630,46 +951,68 @@ TEST(ServeAsyncDifferentialTest, ColdCacheAsyncStillBitIdentical) {
   }
 }
 
-// Deterministic overlap witness: with an injected TestAsyncEnv, a single
-// query's prefetch submits every operand its predicate touches before the
-// evaluation blocks on the first one — the reads pile up in the executor
-// (max_queued > 1), which on real threads is exactly the fetch/compute
-// overlap.  A driver thread steps completions while the batch runs.
-TEST(ServeAsyncOverlapTest, PrefetchSubmitsAllOperandsBeforeAwaiting) {
+// A warm cache serves a repeated batch without a single fetch: every
+// operand lookup is a hit, no query reads a byte, and the answers and scan
+// counts are those of the cold run.
+TEST(ServeTest, WarmRerunFetchesNothingAndReadsNoBytes) {
   ServeFixture fx;
   fx.Build();
+  std::vector<serve::ServeQuery> queries = fx.MakeQueries(80);
 
-  TestAsyncEnv io;
   serve::ServeOptions options;
-  options.num_threads = 1;
-  options.io_executor = &io;
+  options.num_threads = 4;
+  options.max_pending = queries.size();
+  options.share_operands = true;
+  serve::QueryService service(options);
+  for (const auto& idx : fx.indexes) service.AddColumn(idx.get());
+  std::vector<serve::ServeResult> cold = service.RunBatch(queries);
+
+  const int64_t misses = SharedFetchCounter("serve.shared_fetch_misses");
+  std::vector<serve::ServeResult> warm = service.RunBatch(queries);
+  EXPECT_EQ(SharedFetchCounter("serve.shared_fetch_misses"), misses)
+      << "a warm rerun must not fetch";
+
+  ASSERT_EQ(warm.size(), cold.size());
+  for (size_t i = 0; i < warm.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ASSERT_TRUE(cold[i].status.ok()) << cold[i].status.ToString();
+    ASSERT_TRUE(warm[i].status.ok()) << warm[i].status.ToString();
+    EXPECT_EQ(warm[i].foundset, cold[i].foundset);
+    EXPECT_EQ(warm[i].stats.bitmap_scans, cold[i].stats.bitmap_scans);
+    EXPECT_EQ(warm[i].stats.bytes_read, 0);
+    if (warm[i].stats.bitmap_scans > 0) {
+      EXPECT_GT(warm[i].shared_hits, 0);
+    }
+  }
+}
+
+// With sharing off the service reads through each query's own source: the
+// shared cache stays empty and no query reports a shared hit.
+TEST(ServeTest, UnsharedServiceNeverFillsTheCache) {
+  ServeFixture fx;
+  fx.Build();
+  std::vector<serve::ServeQuery> queries = fx.MakeQueries(60);
+
+  serve::ServeOptions options;
+  options.num_threads = 4;
+  options.max_pending = queries.size();
+  options.share_operands = false;
   serve::QueryService service(options);
   for (const auto& idx : fx.indexes) service.AddColumn(idx.get());
 
-  serve::ServeQuery q;
-  q.column = 0;  // range-encoded, cardinality 17
-  q.op = CompareOp::kLe;
-  q.value = 7;
-
-  std::vector<serve::ServeResult> results;
-  std::atomic<bool> done{false};
-  std::thread batch([&] {
-    results = service.RunBatch({q});
-    done.store(true, std::memory_order_release);
-  });
-  // The query lane blocks awaiting its first prefetched operand; complete
-  // jobs until the batch finishes.
-  while (!done.load(std::memory_order_acquire)) {
-    io.RunUntilIdle();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const int64_t hits = SharedFetchCounter("serve.shared_fetch_hits");
+  const int64_t misses = SharedFetchCounter("serve.shared_fetch_misses");
+  std::vector<serve::ServeResult> got = service.RunBatch(queries);
+  for (const serve::ServeResult& r : got) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.shared_hits, 0);
+    if (r.stats.bitmap_scans > 0) {
+      EXPECT_GT(r.stats.bytes_read, 0) << "each query reads its own operands";
+    }
   }
-  batch.join();
-  ASSERT_EQ(results.size(), 1u);
-
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_GT(results[0].row_count, 0u);
-  EXPECT_GE(io.max_queued(), 2u)
-      << "prefetch must submit multiple reads before the first await";
+  EXPECT_EQ(service.cache().size(), 0u);
+  EXPECT_EQ(SharedFetchCounter("serve.shared_fetch_hits"), hits);
+  EXPECT_EQ(SharedFetchCounter("serve.shared_fetch_misses"), misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -740,38 +1083,6 @@ TEST(OperandCacheSoakTest, ChurnFailuresAndOutlivingReaders) {
   EXPECT_GT(ok_reads.load(), 0);
   EXPECT_GT(failed_reads.load(), 0) << "the soak must exercise failures";
   EXPECT_LE(cache.size(), options.max_entries);
-}
-
-// The same churn through the service end to end, with a cache too small
-// for the working set and async I/O underneath.
-TEST(OperandCacheSoakTest, ServiceChurnWithAsyncIoStaysCorrect) {
-  ServeFixture fx;
-  fx.Build();
-  std::vector<serve::ServeQuery> queries = fx.MakeQueries(150);
-
-  serve::ServeOptions sequential;
-  sequential.num_threads = 1;
-  sequential.share_operands = false;
-  sequential.max_pending = queries.size();
-  serve::QueryService reference(sequential);
-  for (const auto& idx : fx.indexes) reference.AddColumn(idx.get());
-  std::vector<serve::ServeResult> expected = reference.RunBatch(queries);
-
-  serve::ServeOptions churn = sequential;
-  churn.num_threads = 8;
-  churn.share_operands = true;
-  churn.cache_entries = 2;  // constant eviction under 8 lanes
-  churn.io_threads = 3;
-  churn.io_depth = 4;
-  serve::QueryService service(churn);
-  for (const auto& idx : fx.indexes) service.AddColumn(idx.get());
-  std::vector<serve::ServeResult> got = service.RunBatch(queries);
-
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].status.ok()) << got[i].status.ToString();
-    EXPECT_EQ(got[i].foundset, expected[i].foundset);
-  }
 }
 
 // Staleness across a compaction swap: two generations of one column live

@@ -1,5 +1,5 @@
 // Fault-tolerant storage format: V2 blob round-trips, checksum detection,
-// manifest atomicity under injected crash faults, V1 compatibility, retry
+// manifest atomicity under injected crash faults, V1 rejection, retry
 // against transient errors, sibling reconstruction, and the direct
 // stored-WAH fetch path.
 
@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,7 +99,6 @@ TEST(FormatTest, BlobFileRoundTripsAcrossBlockBoundaries) {
         << payload_size;
     EXPECT_EQ(blob.payload, payload);
     EXPECT_EQ(blob.raw_size, 12345u);
-    EXPECT_TRUE(blob.verified);
   }
 }
 
@@ -134,17 +134,45 @@ TEST(FormatTest, CorruptionNamesTheBadBlock) {
   EXPECT_NE(s.ToString().find("c0_b3.bm"), std::string::npos);
 }
 
-TEST(FormatTest, V1FilesDecodeUnverified) {
+TEST(FormatTest, UncheckedV1BlobIsRejectedAsBadMagic) {
+  // The pre-checksum "BIXF" layout (magic, u64 raw_size, payload) carries
+  // nothing to verify; it must fail typed, never decode.
   std::vector<uint8_t> image = {'B', 'I', 'X', 'F'};
   uint64_t raw_size = 3;
   const uint8_t* p = reinterpret_cast<const uint8_t*>(&raw_size);
   image.insert(image.end(), p, p + 8);
   image.insert(image.end(), {0xAA, 0xBB, 0xCC});
+  image.resize(40, 0);  // long enough to pass any length check
   format::CheckedBlob blob;
-  ASSERT_TRUE(format::DecodeBlobFile(image, "t", &blob).ok());
-  EXPECT_FALSE(blob.verified);
-  EXPECT_EQ(blob.raw_size, 3u);
-  EXPECT_EQ(blob.payload, (std::vector<uint8_t>{0xAA, 0xBB, 0xCC}));
+  Status s = format::DecodeBlobFile(image, "c0_b0.bm", &blob);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("bad magic"), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(blob.payload.empty());
+}
+
+TEST(FormatTest, TruncatedBlobImagesAreRejectedTyped) {
+  // A torn write leaves a prefix of the image; every prefix — down to an
+  // empty file — and an image with trailing junk must fail as Corruption,
+  // never decode a partial payload.
+  std::vector<uint8_t> payload(2 * 4096 + 300);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  std::vector<uint8_t> image = format::EncodeBlobFile(payload, payload.size());
+  for (size_t len = 0; len < image.size(); ++len) {
+    format::CheckedBlob blob;
+    Status s = format::DecodeBlobFile(
+        std::span<const uint8_t>(image.data(), len), "t", &blob);
+    ASSERT_EQ(s.code(), Status::Code::kCorruption) << "len=" << len;
+    ASSERT_TRUE(blob.payload.empty()) << "len=" << len;
+  }
+  std::vector<uint8_t> longer = image;
+  longer.push_back(0);
+  format::CheckedBlob blob;
+  EXPECT_EQ(format::DecodeBlobFile(longer, "t", &blob).code(),
+            Status::Code::kCorruption);
+  EXPECT_TRUE(blob.payload.empty());
 }
 
 TEST(FormatTest, ManifestRoundTripAndSelfChecksum) {
@@ -178,7 +206,6 @@ TEST(StorageV2Test, WriteProducesVerifiedManifestedIndex) {
   ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
                                  StorageScheme::kBitmapLevel, none, &stored)
                   .ok());
-  EXPECT_TRUE(stored->verified());
   EXPECT_TRUE(
       std::filesystem::exists(dir.path() / "idx" / format::kManifestFile));
 
@@ -186,7 +213,6 @@ TEST(StorageV2Test, WriteProducesVerifiedManifestedIndex) {
   ASSERT_TRUE(
       format::ScrubIndexDir(*Env::Default(), dir.path() / "idx", &report)
           .ok());
-  EXPECT_TRUE(report.has_manifest);
   EXPECT_TRUE(report.manifest_ok);
   EXPECT_TRUE(report.clean());
   for (const auto& f : report.files) {
@@ -266,7 +292,6 @@ TEST(StorageV2Test, ManifestWriteIsAtomicUnderCrash) {
   ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
                                  StorageScheme::kBitmapLevel, none, &stored)
                   .ok());
-  EXPECT_TRUE(stored->verified());
   EXPECT_EQ(stored->Evaluate(EvalAlgorithm::kAuto, CompareOp::kLe, 4),
             index.Evaluate(CompareOp::kLe, 4));
 }
@@ -299,7 +324,7 @@ TEST(StorageV2Test, StaleManifestIsRemovedBeforeOverwrite) {
   EXPECT_FALSE(StoredIndex::Open(dir.path() / "idx", &reopened).ok());
 }
 
-// --- V1 compatibility -----------------------------------------------------
+// --- unchecksummed V1 indexes are refused --------------------------------
 
 void WriteV1File(const std::filesystem::path& path,
                  std::span<const uint8_t> payload, uint64_t raw_size) {
@@ -311,9 +336,10 @@ void WriteV1File(const std::filesystem::path& path,
   ASSERT_TRUE(f.good());
 }
 
-TEST(StorageV2Test, LegacyV1IndexStillLoadsUnverified) {
+TEST(StorageV2Test, ManifestlessV1IndexIsRejectedTyped) {
   // Hand-write a pre-fault-tolerance BS index: "BIXF" blob files, a v1
-  // meta, no manifest.
+  // meta, no manifest.  Nothing in it can be verified, so it must not
+  // open, and scrub must call it unclean.
   BitmapIndex index = MakeIndex(Encoding::kRange, /*c=*/8, /*n=*/300);
   TempDir dir;
   std::filesystem::path idx = dir.path() / "idx";
@@ -337,13 +363,135 @@ TEST(StorageV2Test, LegacyV1IndexStillLoadsUnverified) {
   meta.close();
 
   std::unique_ptr<StoredIndex> stored;
-  ASSERT_TRUE(StoredIndex::Open(idx, &stored).ok());
-  EXPECT_FALSE(stored->verified());
-  for (const Query& q : AllSelectionQueries(index.cardinality())) {
-    EXPECT_EQ(stored->Evaluate(EvalAlgorithm::kAuto, q.op, q.v),
-              index.Evaluate(q.op, q.v))
-        << ToString(q.op) << " " << q.v;
+  Status s = StoredIndex::Open(idx, &stored);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("no manifest"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(stored, nullptr);
+
+  format::ScrubReport report;
+  ASSERT_TRUE(format::ScrubIndexDir(*Env::Default(), idx, &report).ok());
+  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.manifest_ok);
+  ASSERT_EQ(report.files.size(), 1u);
+  EXPECT_EQ(report.files[0].name, format::kManifestFile);
+  EXPECT_EQ(report.files[0].state, format::FileCheck::State::kMissing);
+}
+
+// Rewrites <dir>/<name> and re-lists it in the manifest with its new size
+// and CRC, so the manifest itself vouches for the replacement bytes.
+void ReplaceManifestedFile(const std::filesystem::path& dir,
+                           const std::string& name,
+                           const std::vector<uint8_t>& bytes) {
+  {
+    std::ofstream f(dir / name, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(f.good());
   }
+  format::Manifest manifest;
+  ASSERT_TRUE(format::ReadManifest(*Env::Default(), dir, &manifest).ok());
+  ASSERT_EQ(manifest.count(name), 1u) << name;
+  manifest[name] = {bytes.size(), Crc32c(bytes.data(), bytes.size())};
+  ASSERT_TRUE(format::WriteManifest(*Env::Default(), dir, manifest).ok());
+}
+
+TEST(StorageV2Test, DeletedManifestFailsOpenAndScrubNamesIt) {
+  // A complete V2 index whose manifest is lost afterwards is
+  // indistinguishable from a torn materialize: Open refuses it typed, and
+  // scrub reports the manifest as the one missing file.
+  BitmapIndex index = MakeIndex(Encoding::kEquality);
+  const NullCodec none;
+  TempDir dir;
+  std::filesystem::path idx = dir.path() / "idx";
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, idx, StorageScheme::kBitmapLevel,
+                                 none, &stored)
+                  .ok());
+  stored.reset();
+  ASSERT_TRUE(std::filesystem::remove(idx / format::kManifestFile));
+
+  std::unique_ptr<StoredIndex> reopened;
+  Status s = StoredIndex::Open(idx, &reopened);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("no manifest"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(reopened, nullptr);
+
+  format::ScrubReport report;
+  ASSERT_TRUE(format::ScrubIndexDir(*Env::Default(), idx, &report).ok());
+  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.manifest_ok);
+  ASSERT_EQ(report.files.size(), 1u);
+  EXPECT_EQ(report.files[0].name, format::kManifestFile);
+  EXPECT_EQ(report.files[0].state, format::FileCheck::State::kMissing);
+}
+
+TEST(StorageV2Test, V1BlobListedInManifestFailsTheQuery) {
+  // Even when the manifest's size and CRC match it, an unchecksummed
+  // "BIXF" bitmap file is not decoded: the query needing it fails typed
+  // and the others still answer.
+  BitmapIndex index = MakeIndex(Encoding::kRange);
+  const NullCodec none;
+  TempDir dir;
+  std::filesystem::path idx = dir.path() / "idx";
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, idx, StorageScheme::kBitmapLevel,
+                                 none, &stored)
+                  .ok());
+  stored.reset();
+  std::vector<uint8_t> raw = index.component(0).stored(5).ToBytes();
+  std::vector<uint8_t> v1 = {'B', 'I', 'X', 'F'};
+  const uint64_t raw_size = raw.size();
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(&raw_size);
+  v1.insert(v1.end(), p, p + 8);
+  v1.insert(v1.end(), raw.begin(), raw.end());
+  ReplaceManifestedFile(idx, "c0_b5.bm", v1);
+  if (HasFatalFailure()) return;
+
+  ASSERT_TRUE(StoredIndex::Open(idx, &stored).ok());
+  Status status;
+  Bitvector result = stored->Evaluate(EvalAlgorithm::kAuto, CompareOp::kLe, 5,
+                                      nullptr, nullptr, &status);
+  EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
+  EXPECT_NE(status.ToString().find("bad magic"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(result.empty());
+  Status ok_status;
+  EXPECT_EQ(stored->Evaluate(EvalAlgorithm::kAuto, CompareOp::kLe, 2, nullptr,
+                             nullptr, &ok_status),
+            index.Evaluate(CompareOp::kLe, 2));
+  EXPECT_TRUE(ok_status.ok()) << ok_status.ToString();
+}
+
+TEST(StorageV2Test, V1MetaHeaderIsRejected) {
+  // Only the V2 metadata header opens, even when the manifest vouches for
+  // a "bix_index_meta_v1" file byte for byte.
+  BitmapIndex index = MakeIndex(Encoding::kRange);
+  const NullCodec none;
+  TempDir dir;
+  std::filesystem::path idx = dir.path() / "idx";
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, idx, StorageScheme::kBitmapLevel,
+                                 none, &stored)
+                  .ok());
+  stored.reset();
+  std::ifstream in(idx / "index.meta", std::ios::binary);
+  std::string meta((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  const std::string v2_header = "bix_index_meta_v2";
+  ASSERT_EQ(meta.compare(0, v2_header.size(), v2_header), 0) << meta;
+  meta.replace(0, v2_header.size(), "bix_index_meta_v1");
+  ReplaceManifestedFile(idx, "index.meta",
+                        std::vector<uint8_t>(meta.begin(), meta.end()));
+  if (HasFatalFailure()) return;
+
+  Status s = StoredIndex::Open(idx, &stored);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("unknown metadata header"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(stored, nullptr);
 }
 
 // --- retry ----------------------------------------------------------------

@@ -17,11 +17,9 @@
 //   bixctl benchdiff BASELINE.json FRESH.json [--band F] [--force]
 //   bixctl serve  --dirs ./idx1,./idx2 [--trace F] [--threads N] [--queue K]
 //                 [--deadline-ms D] [--batch B] [--no-share] [--engine E]
-//                 [--io-threads N] [--io-depth K]
 //   bixctl bench-serve [--columns N] [--rows R] [--cardinality C]
 //                 [--queries Q] [--col-skew S] [--val-skew S] [--threads N]
 //                 [--batch B] [--codec NAME] [--engine E] [--seed S] [--out F]
-//                 [--io-threads N] [--io-depth K]
 //
 // Every command also accepts --metrics-out=FILE to dump the process-wide
 // metrics registry in Prometheus text exposition format on exit.
@@ -200,14 +198,12 @@ int Usage() {
                "[--queue K]\n"
                "                 [--deadline-ms D] [--batch B] [--no-share] "
                "[--engine E]\n"
-               "                 [--io-threads N] [--io-depth K]\n"
                "  bixctl bench-serve [--columns N] [--rows R] "
                "[--cardinality C] [--queries Q]\n"
                "                 [--col-skew S] [--val-skew S] [--threads N] "
                "[--batch B]\n"
                "                 [--codec NAME] [--engine E] [--seed S] "
                "[--out FILE]\n"
-               "                 [--io-threads N] [--io-depth K]\n"
                "(any command: --metrics-out FILE dumps Prometheus metrics)\n");
   return 2;
 }
@@ -387,9 +383,7 @@ int CmdInfo(const Flags& flags) {
   } else {
     std::printf("row order:     insertion (unsorted)\n");
   }
-  std::printf("integrity:     %s\n",
-              stored->verified() ? "verified (v2 manifest + CRC32C)"
-                                 : "unverified (legacy v1 files)");
+  std::printf("integrity:     verified (v2 manifest + CRC32C)\n");
   std::printf("bitmaps:       %lld\n",
               static_cast<long long>(
                   SpaceInBitmaps(stored->base(), stored->encoding())));
@@ -604,10 +598,9 @@ int CmdExplain(const Flags& flags) {
 }
 
 void PrintScrubReport(const format::ScrubReport& report) {
-  std::printf("manifest:  %s\n",
-              !report.has_manifest ? "absent (legacy v1 index, unverified)"
-              : report.manifest_ok ? "present, self-checksum OK"
-                                   : "present, CORRUPT");
+  std::printf("manifest:  %s\n", report.manifest_ok
+                                     ? "present, self-checksum OK"
+                                     : "MISSING or CORRUPT");
   for (const format::FileCheck& f : report.files) {
     std::printf("  %-10s %-16s %s\n", format::ToString(f.state),
                 f.name.c_str(), f.detail.c_str());
@@ -977,12 +970,6 @@ int CmdServe(const Flags& flags) {
   options.default_deadline_ns =
       flags.GetInt("deadline-ms").value_or(0) * 1'000'000;
   options.share_operands = !flags.Has("no-share");
-  options.io_threads = static_cast<int>(flags.GetInt("io-threads").value_or(0));
-  options.io_depth =
-      static_cast<size_t>(flags.GetInt("io-depth").value_or(16));
-  if (options.io_threads > 0 && !options.share_operands) {
-    return Fail("--io-threads requires sharing (drop --no-share)");
-  }
   if (!ParseEngineFlag(flags, &options.engine)) {
     return Fail("--engine must be plain, wah, or auto");
   }
@@ -1067,11 +1054,6 @@ int CmdServe(const Flags& flags) {
               queries.size(), dirs.size(), options.num_threads,
               std::string(ToString(options.engine)).c_str(),
               options.share_operands ? "on" : "off");
-  if (options.io_threads > 0) {
-    std::printf("  async io: %d threads, depth %zu, inflight peak %lld\n",
-                options.io_threads, options.io_depth,
-                static_cast<long long>(service.io_inflight_peak()));
-  }
   std::printf("  ok %zu, shed %zu, deadline-missed %zu, failed %zu; "
               "%llu rows found\n",
               outcome.ok, outcome.shed, outcome.deadline_missed,
@@ -1114,11 +1096,6 @@ int CmdBenchServe(const Flags& flags) {
       static_cast<uint64_t>(flags.GetInt("seed").value_or(42));
   const Codec* codec = CodecByName(flags.GetOr("codec", "lz77"));
   if (codec == nullptr) return Fail("unknown --codec");
-  // 0 skips the cold_async arm; the default measures the async read path.
-  const int io_threads =
-      static_cast<int>(flags.GetInt("io-threads").value_or(2));
-  const size_t io_depth =
-      static_cast<size_t>(flags.GetInt("io-depth").value_or(16));
   EngineKind engine;
   if (!ParseEngineFlag(flags, &engine)) {
     return Fail("--engine must be plain, wah, or auto");
@@ -1174,49 +1151,36 @@ int CmdBenchServe(const Flags& flags) {
       obs::MetricsRegistry::Global().GetCounter("serve.shared_fetch_hits");
   auto& misses_counter =
       obs::MetricsRegistry::Global().GetCounter("serve.shared_fetch_misses");
-  auto replay = [&](bool share, int io, bool cold_batches,
-                    int64_t* inflight_peak = nullptr) {
+  auto replay = [&](bool share, bool cold_batches) {
     serve::ServeOptions options;
     options.num_threads = threads;
     options.max_pending = queries.size();  // admission is not under test
     options.share_operands = share;
     options.engine = engine;
-    options.io_threads = io;
-    options.io_depth = io_depth;
     serve::QueryService service(options);
     for (const auto& stored : indexes) service.AddColumn(stored.get());
-    ReplayOutcome outcome =
-        ReplayTrace(service, queries, batch_size, cold_batches);
-    if (inflight_peak != nullptr) *inflight_peak = service.io_inflight_peak();
-    return outcome;
+    return ReplayTrace(service, queries, batch_size, cold_batches);
   };
 
   // Untimed warmup pass so no timed arm pays first-touch costs (page
   // cache, pool spin-up, codec tables).
-  replay(false, 0, false);
+  replay(false, false);
 
-  const ReplayOutcome control = replay(false, 0, false);
+  const ReplayOutcome control = replay(false, false);
   const int64_t hits0 = hits_counter.value();
   const int64_t misses0 = misses_counter.value();
-  const ReplayOutcome shared = replay(true, 0, false);
+  const ReplayOutcome shared = replay(true, false);
   const int64_t hits = hits_counter.value() - hits0;
   const int64_t misses = misses_counter.value() - misses0;
-  // Cold-cache arms: the cache is cleared before every batch, so each
-  // batch pays the full fetch cost — the regime where moving fetches to
-  // I/O threads can overlap them with compute.
-  const ReplayOutcome cold = replay(true, 0, true);
-  ReplayOutcome cold_async;
-  int64_t io_peak = 0;
-  if (io_threads > 0) {
-    cold_async = replay(true, io_threads, true, &io_peak);
-  }
+  // Cold-cache arm: the cache is cleared before every batch, so each batch
+  // pays the full fetch cost.
+  const ReplayOutcome cold = replay(true, true);
 
   std::filesystem::remove_all(tmp, ec);
-  if (control.failed + shared.failed + cold.failed + cold_async.failed > 0) {
+  if (control.failed + shared.failed + cold.failed > 0) {
     return Fail("bench-serve queries failed");
   }
-  for (const ReplayOutcome* o : {&shared, &cold,
-                                 io_threads > 0 ? &cold_async : &control}) {
+  for (const ReplayOutcome* o : {&shared, &cold}) {
     if (control.rows_found != o->rows_found) {
       return Fail("sharing changed results: control found " +
                   std::to_string(control.rows_found) + " rows, another arm " +
@@ -1252,15 +1216,6 @@ int CmdBenchServe(const Flags& flags) {
   arm("shared", shared, qps_shared);
   const double qps_cold = n / cold.wall_seconds;
   arm("cold", cold, qps_cold);
-  if (io_threads > 0) {
-    const double qps_cold_async = n / cold_async.wall_seconds;
-    arm("cold-async", cold_async, qps_cold_async);
-    std::printf("  cold-async vs cold: p95 %7.2fus vs %7.2fus (%d io "
-                "threads, depth %zu, inflight peak %lld)\n",
-                Percentile(cold_async.latencies_ns, 0.95) / 1e3,
-                Percentile(cold.latencies_ns, 0.95) / 1e3, io_threads,
-                io_depth, static_cast<long long>(io_peak));
-  }
   std::printf("  shared-fetch hit rate %.1f%% (%lld of %lld); speedup "
               "%.2fx\n",
               100.0 * hit_rate, static_cast<long long>(hits),
@@ -1280,20 +1235,15 @@ int CmdBenchServe(const Flags& flags) {
         {"threads", static_cast<int64_t>(threads)},
         {"batch", batch_size},
         {"codec", std::string(codec->name())},
-        {"io_threads", static_cast<int64_t>(io_threads)},
-        {"io_depth", io_depth},
     };
     struct Arm {
       const char* name;
       const ReplayOutcome* o;
       double qps;
     };
-    std::vector<Arm> arms = {Arm{"no_share", &control, qps_control},
-                             Arm{"shared", &shared, qps_shared},
-                             Arm{"cold", &cold, qps_cold}};
-    if (io_threads > 0) {
-      arms.push_back(Arm{"cold_async", &cold_async, n / cold_async.wall_seconds});
-    }
+    const Arm arms[] = {Arm{"no_share", &control, qps_control},
+                        Arm{"shared", &shared, qps_shared},
+                        Arm{"cold", &cold, qps_cold}};
     for (const Arm& a : arms) {
       const ReplayOutcome& o = *a.o;
       const double qps = a.qps;
@@ -1314,12 +1264,6 @@ int CmdBenchServe(const Flags& flags) {
       params.emplace_back("arm", "shared");
       writer.Add("bench_serve", params, "hit_rate_pct", 100.0 * hit_rate,
                  "count");
-    }
-    if (io_threads > 0) {
-      std::vector<bench::BenchParam> params = common;
-      params.emplace_back("arm", "cold_async");
-      writer.Add("bench_serve", params, "io_inflight_peak",
-                 static_cast<double>(io_peak), "count");
     }
     if (!writer.WriteFile(*out)) return Fail("cannot write " + *out);
     std::printf("  wrote %s\n", out->c_str());

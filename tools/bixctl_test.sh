@@ -233,19 +233,8 @@ grep -q "ok 2, shed 3" "$WORK/serve_shed.out" || fail "serve shed count"
 "$BIXCTL" serve --dirs "$WORK/idx,$WORK/idx2" < "$WORK/trace.txt" \
     | grep -q "served 5 queries" || fail "serve from stdin"
 
-# Async storage I/O: same trace, same rows, plus the io banner; async
-# requires sharing; per-query trace deadlines parse and are honored (a 1ns
-# deadline always misses).
-"$BIXCTL" serve --dirs "$WORK/idx,$WORK/idx2" --trace "$WORK/trace.txt" \
-    --threads 4 --io-threads 2 --io-depth 4 > "$WORK/serve_io.out" \
-    || fail "serve --io-threads exit code"
-grep -q "failed 0; 21 rows" "$WORK/serve_io.out" \
-    || fail "serve --io-threads rows must match sync"
-grep -q "async io: 2 threads, depth 4" "$WORK/serve_io.out" \
-    || fail "serve async io banner"
-"$BIXCTL" serve --dirs "$WORK/idx,$WORK/idx2" --trace "$WORK/trace.txt" \
-    --io-threads 2 --no-share > /dev/null 2>&1 \
-    && fail "serve --io-threads with --no-share must fail"
+# Per-query trace deadlines parse and are honored (a 1ns deadline always
+# misses).
 cat > "$WORK/trace_ddl.txt" <<'EOF'
 # bix-trace v1
 q 0 <= 500
@@ -257,23 +246,16 @@ grep -q "ok 1, shed 0, deadline-missed 1" "$WORK/serve_ddl.out" \
     || fail "serve per-query deadline"
 
 # bench-serve: tiny run, sharing must not change results, JSON carries the
-# engine in its _meta row plus the cold/cold_async arms.
+# engine in its _meta row plus exactly the no_share, shared and cold arms.
 "$BIXCTL" bench-serve --columns 2 --rows 2000 --cardinality 16 \
-    --queries 200 --threads 2 --io-threads 2 --out "$WORK/bs.json" \
+    --queries 200 --threads 2 --out "$WORK/bs.json" \
     > "$WORK/bs.out" || fail "bench-serve exit code"
 grep -q "speedup" "$WORK/bs.out" || fail "bench-serve speedup line"
-grep -q "cold-async vs cold" "$WORK/bs.out" || fail "bench-serve async line"
 grep -q '"engine":"plain"' "$WORK/bs.json" || fail "bench-serve engine meta"
 grep -q '"metric":"qps"' "$WORK/bs.json" || fail "bench-serve qps rows"
-grep -q '"arm":"cold_async"' "$WORK/bs.json" || fail "bench-serve async arm"
-grep -q '"metric":"io_inflight_peak"' "$WORK/bs.json" \
-    || fail "bench-serve inflight peak metric"
-# --io-threads 0 keeps the async arm out.
-"$BIXCTL" bench-serve --columns 2 --rows 2000 --cardinality 16 \
-    --queries 100 --threads 2 --io-threads 0 > "$WORK/bs_sync.out" \
-    || fail "bench-serve --io-threads 0 exit code"
-grep -q "cold-async" "$WORK/bs_sync.out" \
-    && fail "bench-serve --io-threads 0 must skip the async arm"
+[[ "$(grep -o '"arm":"[a-z_]*"' "$WORK/bs.json" | sort -u | tr '\n' ' ')" \
+    == '"arm":"cold" "arm":"no_share" "arm":"shared" ' ]] \
+    || fail "bench-serve arms must be exactly no_share, shared, cold"
 
 # Engine mismatch between baseline and fresh meta refuses to gate (exit 0,
 # warning) unless forced.
