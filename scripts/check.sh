@@ -208,12 +208,17 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
-  cmake --build build-tsan --target bix_tests bench_parallel_scaling
+  cmake --build build-tsan --target bix_tests bix_differential_tests \
+      bench_parallel_scaling
   # WahCalibration* covers the exec engine's calibrated-ratio read path:
   # concurrent kAuto evaluation racing CalibrateAutoBreakEven over the
   # relaxed-atomic cost accumulators.
   ./build-tsan/tests/bix_tests \
       --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:WahCalibration*:OperandCache*:Serve*'
+  # Parallel P3 probes under the compressed engines: kAuto probes on pool
+  # threads read the same calibration atomics.
+  ./build-tsan/tests/bix_differential_tests \
+      --gtest_filter='PlannerEngineDifferential*'
   ./build-tsan/bench/bench_parallel_scaling --smoke \
       build-tsan/BENCH_parallel_scaling_tsan.json
 fi

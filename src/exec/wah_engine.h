@@ -42,10 +42,11 @@ Bitvector EvaluatePredicateCompressed(const BitmapSource& source,
                                       int64_t v, EngineKind engine,
                                       EvalStats* stats = nullptr);
 
-/// Same evaluation, but hands back the WAH-compressed result without
-/// inflating it — for callers that keep going in the compressed domain
-/// (the planner's P3 merge ANDs per-attribute foundsets with
-/// WahBitvector::AndOfMany before decompressing once).
+/// Same evaluation, handed back WAH-compressed: a result the engine holds
+/// dense (kAuto inflated an operand, or a k-ary merge fell back) is
+/// compressed once here.  For callers that keep going in the compressed
+/// domain; callers that want the foundset itself should use
+/// EvaluatePredicateCompressed, which never converts a dense result.
 WahBitvector EvaluateToWah(const BitmapSource& source, EvalAlgorithm algorithm,
                            CompareOp op, int64_t v, EngineKind engine,
                            EvalStats* stats = nullptr);

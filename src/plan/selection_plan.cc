@@ -8,7 +8,6 @@
 #include <string>
 
 #include "bitmap/bitvector_kernels.h"
-#include "bitmap/wah_kernels.h"
 #include "core/check.h"
 #include "core/cost_model.h"
 #include "exec/thread_pool.h"
@@ -130,12 +129,17 @@ PlanEstimate SelectionPlanner::Choose(const ConjunctiveQuery& query) const {
   return EnumeratePlans(query).front();
 }
 
-Bitvector SelectionPlanner::IndexProbe(const Predicate& pred,
+Bitvector SelectionPlanner::IndexProbe(const Predicate& pred, EngineKind engine,
                                        ExecutionResult* result) const {
   const BitmapIndex* bitmap = table_.bitmap_index(pred.attribute);
   if (bitmap != nullptr) {
     EvalStats stats;
-    Bitvector found = bitmap->Evaluate(pred.op, pred.v, &stats);
+    Bitvector found =
+        engine == EngineKind::kPlain
+            ? bitmap->Evaluate(pred.op, pred.v, &stats)
+            : exec::EvaluatePredicateCompressed(*bitmap, EvalAlgorithm::kAuto,
+                                                pred.op, pred.v, engine,
+                                                &stats);
     result->bitmap_scans += stats.bitmap_scans;
     result->bytes_read += stats.bitmap_scans * BitmapBytes(table_.num_rows());
     return found;
@@ -149,23 +153,6 @@ Bitvector SelectionPlanner::IndexProbe(const Predicate& pred,
   Bitvector found(table_.num_rows());
   for (uint32_t r : rids) found.Set(r);
   return found;
-}
-
-WahBitvector SelectionPlanner::IndexProbeWah(const Predicate& pred,
-                                             ExecutionResult* result) const {
-  const BitmapIndex* bitmap = table_.bitmap_index(pred.attribute);
-  if (bitmap != nullptr) {
-    EvalStats stats;
-    WahBitvector found =
-        exec::EvaluateToWah(*bitmap, EvalAlgorithm::kAuto, pred.op, pred.v,
-                            exec_options_.engine, &stats);
-    result->bitmap_scans += stats.bitmap_scans;
-    result->bytes_read += stats.bitmap_scans * BitmapBytes(table_.num_rows());
-    return found;
-  }
-  // RID probes have no compressed execution path; compress the materialized
-  // foundset once so the P3 merge stays in the compressed domain.
-  return WahBitvector::FromBitvector(IndexProbe(pred, result));
 }
 
 ExecutionResult SelectionPlanner::ExecuteFullScan(
@@ -200,7 +187,7 @@ ExecutionResult SelectionPlanner::ExecuteIndexFilter(
     }
   }
   BIX_CHECK_MSG(driver_pred != nullptr, "P2 driver not in the query");
-  Bitvector candidates = IndexProbe(*driver_pred, &result);
+  Bitvector candidates = IndexProbe(*driver_pred, EngineKind::kPlain, &result);
 
   result.foundset = Bitvector(table_.num_rows());
   candidates.ForEachSetBit([&](size_t r) {
@@ -223,9 +210,7 @@ ExecutionResult SelectionPlanner::ExecuteIndexMerge(
   // P3's per-attribute probes are independent, so they can run concurrently;
   // each probe charges its own ExecutionResult and the costs are summed
   // afterwards, keeping the accounting identical to sequential execution.
-  const bool compressed = exec_options_.engine != EngineKind::kPlain;
-  std::vector<Bitvector> foundsets(compressed ? 0 : query.size());
-  std::vector<WahBitvector> wah_foundsets(compressed ? query.size() : 0);
+  std::vector<Bitvector> foundsets(query.size());
   std::vector<ExecutionResult> partials(query.size());
   const int lanes = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(std::max(1, exec_options_.num_threads)),
@@ -236,11 +221,7 @@ ExecutionResult SelectionPlanner::ExecuteIndexMerge(
       prof_name = "probe a" + std::to_string(query[i].attribute);
     }
     obs::ProfSpan prof_span("plan", prof_name);
-    if (compressed) {
-      wah_foundsets[i] = IndexProbeWah(query[i], &partials[i]);
-    } else {
-      foundsets[i] = IndexProbe(query[i], &partials[i]);
-    }
+    foundsets[i] = IndexProbe(query[i], exec_options_.engine, &partials[i]);
   };
   if (lanes <= 1) {
     for (size_t i = 0; i < query.size(); ++i) probe(i, 0);
@@ -255,18 +236,9 @@ ExecutionResult SelectionPlanner::ExecuteIndexMerge(
     result.rids_read += partial.rids_read;
     result.tuples_read += partial.tuples_read;
   }
-  // Conjunction via the fused k-ary AND: one merge pass over all foundsets
-  // instead of a pairwise fold — run-at-a-time over the compressed
-  // foundsets (decompressing only the conjunction) or one blocked pass over
-  // the dense ones.
-  if (compressed) {
-    // The adaptive form hands the conjunction back dense when the merge
-    // fell back mid-pass, so the fallback path never re-compresses a result
-    // that is about to be inflated anyway.
-    result.foundset = AndOfManyAdaptive(wah_foundsets).IntoDense();
-  } else {
-    result.foundset = AndOfMany(foundsets);
-  }
+  // Conjunction via the fused k-ary AND: one blocked pass over all
+  // foundsets instead of a pairwise fold.
+  result.foundset = AndOfMany(foundsets);
   return result;
 }
 

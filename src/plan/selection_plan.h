@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bitmap/bitvector.h"
-#include "bitmap/wah_bitvector.h"
 #include "core/eval.h"
 #include "core/predicate.h"
 #include "plan/table.h"
@@ -95,10 +94,9 @@ class SelectionPlanner {
   /// Execution knobs.  With num_threads > 1, P3 probes its independent
   /// per-attribute predicates concurrently on the shared pool; the probed
   /// foundsets are always combined with the fused k-ary AND kernel
-  /// (Bitvector::AndOfMany).  With engine != kPlain, bitmap probes run on
-  /// the compressed substrate (exec/wah_engine.h), P3 keeps each probed
-  /// foundset WAH-compressed and merges them with WahBitvector::AndOfMany,
-  /// decompressing only the final conjunction.  Foundsets and cost
+  /// (Bitvector::AndOfMany).  With engine != kPlain, P3's bitmap probes run
+  /// on the compressed substrate (exec/wah_engine.h) and hand back dense
+  /// foundsets; RID probes are dense either way.  Foundsets and cost
   /// accounting are identical to sequential plain execution in every case.
   void set_exec_options(const ExecOptions& options) { exec_options_ = options; }
   const ExecOptions& exec_options() const { return exec_options_; }
@@ -126,15 +124,10 @@ class SelectionPlanner {
   ExecutionResult ExecuteIndexMerge(const ConjunctiveQuery& query) const;
 
   // Evaluates one predicate through the attribute's index (bitmap
-  // preferred, RID fallback), charging bytes into `result`.
-  Bitvector IndexProbe(const Predicate& pred, ExecutionResult* result) const;
-
-  // Compressed-domain variant used when exec_options_.engine != kPlain:
-  // bitmap probes evaluate through the WAH engine and the foundset stays
-  // compressed (RID probes compress their materialized foundset once).
-  // Identical bits and cost accounting to IndexProbe.
-  WahBitvector IndexProbeWah(const Predicate& pred,
-                             ExecutionResult* result) const;
+  // preferred, RID fallback), charging bytes into `result`.  Bitmap probes
+  // run on `engine`; identical bits and cost accounting on every engine.
+  Bitvector IndexProbe(const Predicate& pred, EngineKind engine,
+                       ExecutionResult* result) const;
 
   const Table& table_;
   ExecOptions exec_options_{};
