@@ -1,17 +1,22 @@
 // Micro-benchmarks of the bitvector substrate: the logical operations every
-// predicate evaluation is built from, popcount, and (de)serialization.
+// predicate evaluation is built from, popcount, (de)serialization, and the
+// remap of a sorted index's foundset back to logical row ids.
 //
 // With BIX_BENCH_JSON=<path> in the environment, results are additionally
 // written to <path> in the shared one-row-per-metric schema (bench_json.h);
 // scripts/check.sh uses this to produce BENCH_obs.json companions.
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
 #include "bitmap/bitvector.h"
+#include "core/row_order.h"
 
 namespace {
 
@@ -75,6 +80,24 @@ void BM_BitvectorCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitvectorCount)->Arg(1 << 17)->Arg(1 << 21);
+
+void BM_RemapToLogical(benchmark::State& state) {
+  // A 1M-row foundset at range(0) percent density, remapped through a
+  // seeded random permutation (the worst case for the scatter's locality).
+  const size_t bits = 1 << 20;
+  std::mt19937_64 rng(6);
+  std::vector<uint32_t> perm(bits);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  bix::Bitvector physical(bits);
+  for (size_t i = 0; i < bits; ++i) {
+    if (rng() % 100 < static_cast<uint64_t>(state.range(0))) physical.Set(i);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bix::RemapToLogical(physical, perm));
+  }
+}
+BENCHMARK(BM_RemapToLogical)->Arg(1)->Arg(50)->Arg(90);
 
 void BM_BitvectorToSetBitIndices(benchmark::State& state) {
   // Sparse foundset extraction (RID materialization).

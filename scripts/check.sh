@@ -152,6 +152,18 @@ fi
 if [[ "$RUN_MAIN" == 1 ]]; then
   cmake -B build -G Ninja
   cmake --build build
+
+  # Every counting path goes through the inline PopCount64 kernel
+  # (src/bitmap/bitvector.h).  On the default x86-64 target std::popcount
+  # is a libgcc call per word, so a new std::popcount site would show up
+  # here as an undefined __popcount* symbol.
+  libcalls="$(find build/src -name '*.a' -exec nm -u {} + | grep __popcount || true)"
+  if [[ -n "$libcalls" ]]; then
+    echo "check.sh: static libraries call libgcc popcount:" >&2
+    echo "$libcalls" >&2
+    exit 1
+  fi
+
   ctest --test-dir build --output-on-failure
 
   # Heavy benches accept a divisor argument for quick smoke runs.

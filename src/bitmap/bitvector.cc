@@ -59,7 +59,7 @@ void Bitvector::NotInPlace() {
 
 size_t Bitvector::Count() const {
   size_t count = 0;
-  for (uint64_t w : words_) count += static_cast<size_t>(std::popcount(w));
+  for (uint64_t w : words_) count += static_cast<size_t>(PopCount64(w));
   return count;
 }
 

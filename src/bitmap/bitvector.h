@@ -18,6 +18,17 @@
 
 namespace bix {
 
+/// Branch-free SWAR population count: the one popcount kernel every dense
+/// and WAH counting path uses.  The default x86-64 target has no popcnt
+/// instruction, so std::popcount compiles to a libgcc call per word; this
+/// inlines to a dozen ALU ops and needs no build flag or CPU dispatch.
+inline int PopCount64(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
 class Bitvector {
  public:
   /// Creates an empty (zero-length) bitvector.

@@ -1,7 +1,6 @@
 #include "bitmap/wah_bitvector.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "bitmap/wah_run_decoder.h"
 #include "core/check.h"
@@ -166,7 +165,7 @@ size_t WahBitvector::Count() const {
       }
       bit += span;
     } else {
-      count += static_cast<size_t>(std::popcount(word));
+      count += static_cast<size_t>(PopCount64(word));
       bit += kGroupBits;
     }
   }
@@ -229,7 +228,7 @@ size_t WahBitvector::AndCount(const WahBitvector& a, const WahBitvector& b) {
                                 : x.literal();
       uint32_t yg = y.is_fill() ? (y.fill_value() ? kLiteralMask : 0)
                                 : y.literal();
-      count += static_cast<size_t>(std::popcount(xg & yg));
+      count += static_cast<size_t>(PopCount64(xg & yg));
       bit += kGroupBits;
       x.Consume(1);
       y.Consume(1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -296,7 +295,7 @@ struct CountSink {
     bit += span;
   }
   void Literal(uint32_t group) {
-    count += static_cast<size_t>(std::popcount(group));
+    count += static_cast<size_t>(PopCount64(group));
     bit += kGroupBits;
   }
 };

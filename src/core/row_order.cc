@@ -201,10 +201,40 @@ std::vector<uint32_t> ApplyPermutation(std::span<const uint32_t> values,
 Bitvector RemapToLogical(const Bitvector& physical,
                          std::span<const uint32_t> perm) {
   if (perm.empty()) return physical;
-  Bitvector logical = Bitvector::Zeros(physical.size());
-  physical.ForEachSetBit([&](size_t p) {
-    logical.Set(p < perm.size() ? perm[p] : p);
-  });
+  const size_t n = physical.size();
+  BIX_CHECK(perm.size() <= n);
+  // perm is a bijection on [0, perm.size()) and the tail maps to itself,
+  // so the zero bits land exactly on the complement of where the set bits
+  // land.  Start from whichever answer is nearer (all zeros, or all ones
+  // when most bits are set) and toggle the images of the minority bits:
+  // min(|F|, n - |F|) scattered writes instead of |F|.  A full word reads
+  // its 64 images straight from perm rather than peeling bits one by one.
+  const size_t set = physical.Count();
+  const bool complement = set > n - set;
+  Bitvector logical(n, complement);
+  std::span<uint64_t> out = logical.mutable_words();
+  std::span<const uint64_t> in = physical.words();
+  const uint64_t flip = complement ? ~uint64_t{0} : 0;
+  const size_t tail = n & 63;
+  for (size_t w = 0; w < in.size(); ++w) {
+    uint64_t bits = in[w] ^ flip;
+    if (w + 1 == in.size() && tail != 0) bits &= (uint64_t{1} << tail) - 1;
+    if (bits == 0) continue;
+    const size_t base = w << 6;
+    if (bits == ~uint64_t{0} && base + 64 <= perm.size()) {
+      const uint32_t* images = perm.data() + base;
+      for (size_t i = 0; i < 64; ++i) {
+        out[images[i] >> 6] ^= uint64_t{1} << (images[i] & 63);
+      }
+    } else {
+      do {
+        const size_t p = base + static_cast<size_t>(__builtin_ctzll(bits));
+        const size_t l = p < perm.size() ? perm[p] : p;
+        out[l >> 6] ^= uint64_t{1} << (l & 63);
+        bits &= bits - 1;
+      } while (bits != 0);
+    }
+  }
   return logical;
 }
 

@@ -99,6 +99,10 @@ std::vector<uint32_t> ApplyPermutation(std::span<const uint32_t> values,
 /// the permuted bitmaps) into logical row ids: out[perm[p]] = in[p].
 /// Positions at or past perm.size() map to themselves (the identity-
 /// extended append tail).  perm empty returns the input unchanged.
+/// perm must be a permutation of [0, perm.size()) no longer than
+/// `physical` (ComputeRowOrder builds one; the sidecar decoder rejects
+/// anything else); the remap then scatters min(popcount, n - popcount)
+/// bits.
 Bitvector RemapToLogical(const Bitvector& physical,
                          std::span<const uint32_t> perm);
 

@@ -130,6 +130,35 @@ TEST(BitvectorTest, EqualityIncludesLength) {
   EXPECT_FALSE(a == c);
 }
 
+size_t NaivePopCount(uint64_t x) {
+  size_t count = 0;
+  for (int i = 0; i < 64; ++i) count += (x >> i) & 1;
+  return count;
+}
+
+size_t NaiveCount(const Bitvector& bv) {
+  size_t count = 0;
+  for (size_t i = 0; i < bv.size(); ++i) count += bv.Get(i) ? 1 : 0;
+  return count;
+}
+
+TEST(BitvectorTest, PopCount64MatchesBitLoop) {
+  std::vector<uint64_t> words = {0,
+                                 ~uint64_t{0},
+                                 uint64_t{1},
+                                 uint64_t{1} << 63,
+                                 0x5555555555555555ULL,
+                                 0xAAAAAAAAAAAAAAAAULL,
+                                 0x00000000FFFFFFFFULL,
+                                 0x8000000000000001ULL};
+  std::mt19937_64 rng(2024);
+  for (int i = 0; i < 1000; ++i) words.push_back(rng() & rng());
+  for (int i = 0; i < 1000; ++i) words.push_back(rng());
+  for (uint64_t w : words) {
+    EXPECT_EQ(static_cast<size_t>(PopCount64(w)), NaivePopCount(w)) << w;
+  }
+}
+
 TEST(BitvectorTest, CountAcrossManyWords) {
   Bitvector bv(64 * 10);
   size_t expected = 0;
@@ -138,6 +167,13 @@ TEST(BitvectorTest, CountAcrossManyWords) {
     ++expected;
   }
   EXPECT_EQ(bv.Count(), expected);
+  // All-ones and NOT on lengths that are not a multiple of 64.
+  for (size_t bits : {size_t{1}, size_t{63}, size_t{65}, size_t{1000}}) {
+    EXPECT_EQ(Bitvector::Ones(bits).Count(), bits);
+    Bitvector sparse(bits);
+    for (size_t i = 0; i < bits; i += 7) sparse.Set(i);
+    EXPECT_EQ((~sparse).Count(), NaiveCount(~sparse)) << bits;
+  }
 }
 
 TEST(BitvectorTest, ReserveDoesNotChangeContentsOrLength) {
@@ -192,10 +228,10 @@ TEST(BitvectorKernelsTest, FusedFoldsMatchPairwiseFolds) {
       for (const Bitvector& b : operands) ptrs.push_back(&b);
       EXPECT_EQ(Bitvector::OrOfMany(ptrs), or_fold) << bits << " k=" << k;
       EXPECT_EQ(Bitvector::AndOfMany(ptrs), and_fold) << bits << " k=" << k;
-      // The counting forms agree with the materialized folds.
-      EXPECT_EQ(Bitvector::CountOrOfMany(ptrs), or_fold.Count())
+      // The counting forms agree with a bit-by-bit count of the folds.
+      EXPECT_EQ(Bitvector::CountOrOfMany(ptrs), NaiveCount(or_fold))
           << bits << " k=" << k;
-      EXPECT_EQ(Bitvector::CountAndOfMany(ptrs), and_fold.Count())
+      EXPECT_EQ(Bitvector::CountAndOfMany(ptrs), NaiveCount(and_fold))
           << bits << " k=" << k;
       // The value-span conveniences agree with the pointer forms.
       EXPECT_EQ(OrOfMany(operands), or_fold) << bits << " k=" << k;
@@ -205,15 +241,20 @@ TEST(BitvectorKernelsTest, FusedFoldsMatchPairwiseFolds) {
 }
 
 TEST(BitvectorKernelsTest, CountingKernelsMatchMaterializedOps) {
-  for (size_t bits : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
-                      size_t{1000}, size_t{12345}}) {
+  for (size_t bits : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                      size_t{65}, size_t{1000}, size_t{12345}}) {
     Bitvector a = RandomBits(bits, 7 + bits);
     Bitvector b = RandomBits(bits, 11 + bits);
-    EXPECT_EQ(Bitvector::CountAnd(a, b), (a & b).Count()) << bits;
-    EXPECT_EQ(Bitvector::CountOr(a, b), (a | b).Count()) << bits;
+    EXPECT_EQ(a.Count(), NaiveCount(a)) << bits;
+    EXPECT_EQ(Bitvector::CountAnd(a, b), NaiveCount(a & b)) << bits;
+    EXPECT_EQ(Bitvector::CountOr(a, b), NaiveCount(a | b)) << bits;
     Bitvector andnot = a;
     andnot.AndNotWith(b);
-    EXPECT_EQ(Bitvector::AndNotCount(a, b), andnot.Count()) << bits;
+    EXPECT_EQ(Bitvector::AndNotCount(a, b), NaiveCount(andnot)) << bits;
+    // The complement's tail bits must not leak into AndNotCount.
+    EXPECT_EQ(Bitvector::AndNotCount(Bitvector::Ones(bits), a),
+              bits - NaiveCount(a))
+        << bits;
   }
 }
 

@@ -122,6 +122,49 @@ TEST(RowOrderTest, RemapLogicalAndPhysicalAreInverses) {
   EXPECT_TRUE(tail_physical.Get(rows + 3));
   EXPECT_TRUE(tail_physical.Get(0));
   EXPECT_TRUE(RemapToLogical(tail_physical, perm) == tail);
+
+  // RemapToLogical scatters whichever side of the foundset is smaller, so
+  // feed it densities on both sides of n/2 (and the boundary itself), word-
+  // and non-word-multiple lengths, and permutations with an identity tail
+  // (n - 100 leaves whole tail words past the permutation), each checked
+  // against a naive per-bit scatter.
+  for (size_t n : {size_t{65536}, size_t{65536 + 37}}) {
+    for (size_t perm_len : {n, n - 10, n - 100}) {
+      std::vector<uint32_t> shuffled(perm_len);
+      std::iota(shuffled.begin(), shuffled.end(), 0);
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      std::vector<size_t> positions(n);
+      std::iota(positions.begin(), positions.end(), 0);
+      std::shuffle(positions.begin(), positions.end(), rng);
+      auto first_k_random = [&](size_t k) {
+        Bitvector bv = Bitvector::Zeros(n);
+        for (size_t i = 0; i < k; ++i) bv.Set(positions[i]);
+        return bv;
+      };
+      auto prefix = [&](size_t k) {
+        Bitvector bv = Bitvector::Zeros(n);
+        for (size_t i = 0; i < k; ++i) bv.Set(i);
+        return bv;
+      };
+      const std::vector<Bitvector> inputs = {
+          Bitvector::Zeros(n),          first_k_random(1),
+          first_k_random(n / 2),        prefix(n / 2),
+          first_k_random(n / 2 + 1),    prefix(n / 2 + 1),
+          first_k_random(n * 9 / 10),   Bitvector::Ones(n)};
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        const Bitvector& physical = inputs[i];
+        Bitvector expected = Bitvector::Zeros(n);
+        for (size_t p = 0; p < n; ++p) {
+          if (physical.Get(p)) expected.Set(p < perm_len ? shuffled[p] : p);
+        }
+        Bitvector got = RemapToLogical(physical, shuffled);
+        EXPECT_TRUE(got == expected)
+            << "n=" << n << " perm_len=" << perm_len << " input " << i;
+        EXPECT_TRUE(RemapToPhysical(got, shuffled) == physical)
+            << "n=" << n << " perm_len=" << perm_len << " input " << i;
+      }
+    }
+  }
 }
 
 TEST(RowOrderTest, LexSortsValuesWithNullsLast) {
