@@ -1,6 +1,7 @@
 // Micro-benchmarks of the bitvector substrate: the logical operations every
-// predicate evaluation is built from, popcount, (de)serialization, and the
-// remap of a sorted index's foundset back to logical row ids.
+// predicate evaluation is built from, popcount, (de)serialization, the
+// remap of a sorted index's foundset back to logical row ids, and the
+// row-order sort itself.
 //
 // With BIX_BENCH_JSON=<path> in the environment, results are additionally
 // written to <path> in the shared one-row-per-metric schema (bench_json.h);
@@ -16,6 +17,7 @@
 
 #include "bench_json.h"
 #include "bitmap/bitvector.h"
+#include "core/bitmap_index.h"
 #include "core/row_order.h"
 
 namespace {
@@ -121,6 +123,39 @@ void BM_BitvectorSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitvectorSerialize);
+
+void BM_BitvectorFromBytes(benchmark::State& state) {
+  // Deserialization alone: the dense fetch, WAH decode and tombstone load
+  // each rebuild a bitvector from its byte image.
+  const size_t bits = static_cast<size_t>(state.range(0));
+  const std::vector<uint8_t> bytes = RandomBitvector(bits, 7).ToBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bix::Bitvector::FromBytes(bytes, bits));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_BitvectorFromBytes)->Arg(1 << 17)->Arg(1 << 20);
+
+void BM_ComputeRowOrder(benchmark::State& state) {
+  // The resort compaction's sort: 1M rows over C = 2526 (TPC-D's
+  // l_shipdate domain) with every 50th row NULL, under a two-component
+  // base; range(0) picks lex (0) or Gray (1).
+  const size_t rows = 1 << 20;
+  const uint32_t c = 2526;
+  const bix::RowOrder order =
+      state.range(0) == 0 ? bix::RowOrder::kLex : bix::RowOrder::kGray;
+  const bix::BaseSequence base = bix::BaseSequence::Uniform(51, c);
+  std::mt19937_64 rng(8);
+  std::vector<uint32_t> values(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    values[i] = i % 50 == 0 ? bix::kNullValue : static_cast<uint32_t>(rng() % c);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bix::ComputeRowOrder(values, c, base, order));
+  }
+}
+BENCHMARK(BM_ComputeRowOrder)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Console reporter that also captures each result as a schema row.  The
 // benchmark name's slash-separated arguments become params {"arg0": ...}.

@@ -87,14 +87,16 @@ if [[ "$RUN_MUTATE" == 1 ]]; then
   # fatal in turn; tests/mutation_crash_test.cc, ctest label "mutation")
   # plus the delta-log parser and mutable-index unit tests, under ASan +
   # UBSan — recovery code paths run torn buffers and partial files
-  # through parsing and repair, exactly where overreads hide.
+  # through parsing and repair, exactly where overreads hide.  The sorted
+  # mutable-index tests ride along: Delete's logical-to-physical tombstone
+  # pass and the resort compaction index straight through the permutation.
   cmake -B build-asan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target bix_tests bix_mutation_tests
   ./build-asan/tests/bix_mutation_tests
   ./build-asan/tests/bix_tests \
-      --gtest_filter='DeltaLog*:MutableStoredIndex*'
+      --gtest_filter='DeltaLog*:MutableStoredIndex*:RowOrderTest.SortedMutableIndex*'
 fi
 
 if [[ "$RUN_SERVE" == 1 ]]; then

@@ -1,6 +1,7 @@
 #include "bitmap/bitvector.h"
 
 #include <bit>
+#include <cstring>
 
 namespace bix {
 
@@ -106,21 +107,30 @@ std::vector<uint32_t> Bitvector::ToSetBitIndices() const {
 }
 
 std::vector<uint8_t> Bitvector::ToBytes() const {
-  std::vector<uint8_t> bytes((num_bits_ + 7) / 8, 0);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    size_t word = i >> 3;
-    size_t shift = (i & 7) * 8;
-    bytes[i] = static_cast<uint8_t>(words_[word] >> shift);
+  const size_t num_bytes = (num_bits_ + 7) / 8;
+  if constexpr (std::endian::native == std::endian::little) {
+    // The byte image is the words' little-endian layout, truncated.
+    const auto* image = reinterpret_cast<const uint8_t*>(words_.data());
+    return std::vector<uint8_t>(image, image + num_bytes);
+  } else {
+    std::vector<uint8_t> bytes(num_bytes);
+    for (size_t i = 0; i < num_bytes; ++i) {
+      bytes[i] = static_cast<uint8_t>(words_[i >> 3] >> ((i & 7) * 8));
+    }
+    return bytes;
   }
-  return bytes;
 }
 
 Bitvector Bitvector::FromBytes(std::span<const uint8_t> bytes, size_t num_bits) {
   BIX_CHECK(bytes.size() >= (num_bits + 7) / 8);
   Bitvector bv(num_bits);
   size_t num_bytes = (num_bits + 7) / 8;
-  for (size_t i = 0; i < num_bytes; ++i) {
-    bv.words_[i >> 3] |= uint64_t{bytes[i]} << ((i & 7) * 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (num_bytes != 0) std::memcpy(bv.words_.data(), bytes.data(), num_bytes);
+  } else {
+    for (size_t i = 0; i < num_bytes; ++i) {
+      bv.words_[i >> 3] |= uint64_t{bytes[i]} << ((i & 7) * 8);
+    }
   }
   bv.ClearTail();
   return bv;

@@ -54,43 +54,48 @@ std::vector<uint32_t> ComputeRowOrder(std::span<const uint32_t> values,
                                       RowOrder order) {
   if (order == RowOrder::kNone || values.empty()) return {};
   const size_t n = values.size();
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
+  const size_t c = cardinality;
 
-  if (order == RowOrder::kLex) {
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&values](uint32_t a, uint32_t b) {
-                       const bool a_null = values[a] == kNullValue;
-                       const bool b_null = values[b] == kNullValue;
-                       if (a_null != b_null) return b_null;  // NULLs last
-                       if (a_null) return false;
-                       return values[a] < values[b];
-                     });
-    return perm;
-  }
-
-  // kGray: order by the digit tuple the index will actually store, most-
-  // significant component first, so run formation reaches every component.
-  const size_t width = static_cast<size_t>(base.num_components());
-  std::vector<uint32_t> digits(n * width, 0);
-  std::vector<uint32_t> scratch;
-  for (size_t r = 0; r < n; ++r) {
-    if (values[r] == kNullValue) continue;
-    BIX_CHECK_MSG(values[r] < cardinality, "value rank out of range");
-    base.Decompose(values[r], &scratch);  // least-significant first
-    for (size_t i = 0; i < width; ++i) {
-      digits[r * width + i] = scratch[width - 1 - i];
+  // Rank the C values once: bucket[v] is v's position in the requested
+  // order, and NULL takes bucket C (last).  Distinct ranks never tie, so a
+  // stable counting sort over the buckets yields exactly the permutation a
+  // stable comparison sort over the rows would.
+  std::vector<uint32_t> bucket(c);
+  std::iota(bucket.begin(), bucket.end(), 0);
+  if (order == RowOrder::kGray) {
+    // Order by the digit tuple the index will actually store, most-
+    // significant component first, so run formation reaches every
+    // component.
+    const size_t width = static_cast<size_t>(base.num_components());
+    std::vector<uint32_t> digits(c * width);
+    std::vector<uint32_t> scratch;
+    for (size_t v = 0; v < c; ++v) {
+      base.Decompose(v, &scratch);  // least-significant first
+      for (size_t i = 0; i < width; ++i) {
+        digits[v * width + i] = scratch[width - 1 - i];
+      }
     }
+    std::vector<uint32_t> by_gray(c);
+    std::iota(by_gray.begin(), by_gray.end(), 0);
+    std::sort(by_gray.begin(), by_gray.end(), [&](uint32_t a, uint32_t b) {
+      return GrayLess(&digits[a * width], &digits[b * width], width);
+    });
+    for (size_t i = 0; i < c; ++i) bucket[by_gray[i]] = static_cast<uint32_t>(i);
   }
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const bool a_null = values[a] == kNullValue;
-                     const bool b_null = values[b] == kNullValue;
-                     if (a_null != b_null) return b_null;
-                     if (a_null) return false;
-                     return GrayLess(&digits[a * width], &digits[b * width],
-                                     width);
-                   });
+  auto bucket_of = [&](uint32_t v) -> size_t {
+    if (v == kNullValue) return c;
+    BIX_CHECK_MSG(v < c, "value rank out of range");
+    return bucket[v];
+  };
+
+  // One histogram pass, one prefix sum, one stable scatter.
+  std::vector<uint32_t> next(c + 2, 0);
+  for (uint32_t v : values) ++next[bucket_of(v) + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  std::vector<uint32_t> perm(n);
+  for (size_t r = 0; r < n; ++r) {
+    perm[next[bucket_of(values[r])]++] = static_cast<uint32_t>(r);
+  }
   return perm;
 }
 

@@ -50,9 +50,11 @@ std::string_view ToString(RowOrder order);
 bool ParseRowOrder(std::string_view name, RowOrder* out);
 
 /// Computes the sort permutation for one column of value ranks (kNullValue
-/// allowed; NULLs sort last).  Returns perm with perm[physical] = logical;
-/// empty for kNone.  The sort is stable, so equal keys keep insertion
-/// order and the result is deterministic.
+/// allowed; NULLs sort last; every other rank must be below
+/// `cardinality`).  Returns perm with perm[physical] = logical; empty for
+/// kNone.  The sort is stable, so equal keys keep insertion order and the
+/// result is deterministic.  It is a counting sort over the C ranks:
+/// O(n + C log C) time and O(C) scratch beyond the permutation.
 ///
 /// kLex orders by the rank itself.  kGray decomposes each rank into the
 /// base sequence's digits (most-significant first) and orders by the

@@ -654,13 +654,21 @@ Status MutableStoredIndex::Delete(std::span<const uint32_t> rows) {
   }
   // Tombstones live in physical (bitmap) space; the caller's row ids are
   // logical.  Over a sorted base the two differ for base rows (appended
-  // tail rows are identity either way).
+  // tail rows are identity either way): mark the doomed base rows
+  // logically, then one pass over perm[physical] = logical finds their
+  // physical positions — no inverse permutation is built.
   const std::vector<uint32_t>& perm = cur->base->row_order();
-  std::vector<uint32_t> inverse;
-  if (!perm.empty()) inverse = InvertPermutation(perm);
   Bitvector tombstones = cur->tombstones;
+  Bitvector doomed = Bitvector::Zeros(perm.size());
   for (uint32_t r : rows) {
-    tombstones.Set(r < inverse.size() ? inverse[r] : r);
+    if (r < perm.size()) {
+      doomed.Set(r);
+    } else {
+      tombstones.Set(r);
+    }
+  }
+  for (size_t p = 0; p < perm.size(); ++p) {
+    if (doomed.Get(perm[p])) tombstones.Set(p);
   }
   // Whole-bitmap atomic replace: after a crash the tombstone file is the
   // pre- or post-delete bitmap, never a mix.
@@ -717,10 +725,15 @@ Status MutableStoredIndex::Compact(bool resort, RowOrder resort_order) {
       poisoned_ = s;
       return s;
     }
+    // The column now carries everything the folded bitmaps held: release
+    // them before the re-sorted build, so the two bitmap sets are never
+    // resident together.
+    folded = MaterializedSource();
     std::vector<uint32_t> logical_values(physical_values.size());
     for (size_t p = 0; p < physical_values.size(); ++p) {
       logical_values[ext(p)] = physical_values[p];
     }
+    physical_values = std::vector<uint32_t>();
     RowOrder kind = resort_order != RowOrder::kNone ? resort_order
                     : cur->base->row_order_kind() != RowOrder::kNone
                         ? cur->base->row_order_kind()

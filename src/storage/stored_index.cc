@@ -477,11 +477,11 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
   const int n = source.base().num_components();
   const bool wah_operands = UsesWahOperandPayloads(scheme, codec);
 
-  auto write_blob = [&](const std::string& name, std::span<const uint8_t> raw,
+  auto write_blob = [&](const std::string& name, size_t raw_size,
                         std::vector<uint8_t> payload) {
     stored += static_cast<int64_t>(payload.size());
-    uncompressed += static_cast<int64_t>(raw.size());
-    return WriteBlobFile(*env, dir, name, payload, raw.size(), &manifest);
+    uncompressed += static_cast<int64_t>(raw_size);
+    return WriteBlobFile(*env, dir, name, payload, raw_size, &manifest);
   };
 
   switch (scheme) {
@@ -496,12 +496,14 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
             fetched = source.Fetch(c, j, nullptr);
             view = &fetched;
           }
-          std::vector<uint8_t> raw = view->ToBytes();
           // The "wah" codec's BS payloads carry the exact record count, not
-          // the byte-padded bit length, so FetchWah operands match N.
+          // the byte-padded bit length, so FetchWah operands match N; they
+          // encode the words directly, and the raw size is the byte image's.
+          const size_t raw_size = (source.num_records() + 7) / 8;
           std::vector<uint8_t> payload =
-              wah_operands ? WahCodec::EncodeBits(*view) : codec.Compress(raw);
-          s = write_blob(BitmapFileName(prefix, c, j), raw,
+              wah_operands ? WahCodec::EncodeBits(*view)
+                           : codec.Compress(view->ToBytes());
+          s = write_blob(BitmapFileName(prefix, c, j), raw_size,
                          std::move(payload));
         }
       }
@@ -512,7 +514,8 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
         uint32_t width =
             NumStoredBitmaps(source.encoding(), source.base().base(c));
         std::vector<uint8_t> raw = PackRowMajor(source, c, c, width);
-        s = write_blob(ComponentFileName(prefix, c), raw, codec.Compress(raw));
+        s = write_blob(ComponentFileName(prefix, c), raw.size(),
+                       codec.Compress(raw));
       }
       break;
     }
@@ -522,7 +525,7 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
         width += NumStoredBitmaps(source.encoding(), source.base().base(c));
       }
       std::vector<uint8_t> raw = PackRowMajor(source, 0, n - 1, width);
-      s = write_blob(prefix + kIndexFileName, raw, codec.Compress(raw));
+      s = write_blob(prefix + kIndexFileName, raw.size(), codec.Compress(raw));
       break;
     }
   }

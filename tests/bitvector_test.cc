@@ -1,6 +1,7 @@
 #include "bitmap/bitvector.h"
 
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,52 @@ TEST(BitvectorTest, BytesRoundTrip) {
     Bitvector back = Bitvector::FromBytes(bytes, n);
     EXPECT_EQ(back, bv) << "n=" << n;
   }
+}
+
+// The byte image is the on-disk format of every stored bitmap: bit i lives
+// in byte i / 8 at bit i % 8, and the last byte carries only the bits below
+// num_bits.  Pattern: bit i set iff i % 3 == 0, plus the last bit.
+TEST(BitvectorTest, ToBytesMatchesGoldenLayout) {
+  const std::vector<std::pair<size_t, std::vector<uint8_t>>> golden = {
+      {0, {}},
+      {1, {0x01}},
+      {7, {0x49}},
+      {8, {0xc9}},
+      {9, {0x49, 0x01}},
+      {63, {0x49, 0x92, 0x24, 0x49, 0x92, 0x24, 0x49, 0x52}},
+      {64, {0x49, 0x92, 0x24, 0x49, 0x92, 0x24, 0x49, 0x92}},
+      {65, {0x49, 0x92, 0x24, 0x49, 0x92, 0x24, 0x49, 0x92, 0x01}},
+      {130, {0x49, 0x92, 0x24, 0x49, 0x92, 0x24, 0x49, 0x92, 0x24, 0x49,
+             0x92, 0x24, 0x49, 0x92, 0x24, 0x49, 0x02}},
+  };
+  for (const auto& [n, bytes] : golden) {
+    Bitvector bv(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0 || i + 1 == n) bv.Set(i);
+    }
+    EXPECT_EQ(bv.ToBytes(), bytes) << "n=" << n;
+    EXPECT_EQ(Bitvector::FromBytes(bytes, n), bv) << "n=" << n;
+  }
+}
+
+// Bits past num_bits in the last byte (and bytes past the image) are
+// garbage to FromBytes: they must not leak into Count, All or ==.
+TEST(BitvectorTest, FromBytesDropsBitsPastLength) {
+  const std::vector<uint8_t> ones(20, 0xff);
+  for (size_t n : {1u, 7u, 9u, 63u, 65u, 130u}) {
+    Bitvector bv = Bitvector::FromBytes(ones, n);
+    EXPECT_EQ(bv.size(), n);
+    EXPECT_EQ(bv.Count(), n) << "n=" << n;
+    EXPECT_TRUE(bv.All()) << "n=" << n;
+    EXPECT_EQ(bv, Bitvector::Ones(n)) << "n=" << n;
+    EXPECT_EQ(bv.ToBytes(), Bitvector::Ones(n).ToBytes()) << "n=" << n;
+  }
+  // Garbage above a zero image: the result is still all zeros.
+  const std::vector<uint8_t> tail_garbage = {0x00, 0xfe};  // bits 9..15
+  Bitvector nine = Bitvector::FromBytes(tail_garbage, 9);
+  EXPECT_EQ(nine.Count(), 0u);
+  EXPECT_FALSE(nine.Any());
+  EXPECT_EQ(nine, Bitvector::Zeros(9));
 }
 
 TEST(BitvectorTest, EqualityIncludesLength) {

@@ -197,6 +197,101 @@ TEST(RowOrderTest, IdentityPermutationDetection) {
   EXPECT_TRUE(IsIdentityPermutation(perm));
 }
 
+// --- ComputeRowOrder against a comparison sort ---------------------------
+
+// The comparison-sort formulation ComputeRowOrder must reproduce exactly: a
+// stable sort of row ids with NULLs last, ordered by rank (lex) or by the
+// reflected mixed-radix Gray code of the rank's digits, most-significant
+// digit first.
+std::vector<uint32_t> ReferenceRowOrder(const std::vector<uint32_t>& values,
+                                        const BaseSequence& base,
+                                        RowOrder order) {
+  if (values.empty()) return {};
+  const size_t n = values.size();
+  const size_t width = static_cast<size_t>(base.num_components());
+  std::vector<uint32_t> digits(n * width, 0);
+  for (size_t r = 0; r < n; ++r) {
+    if (values[r] == kNullValue) continue;
+    std::vector<uint32_t> lsb_first = base.Decompose(values[r]);
+    for (size_t i = 0; i < width; ++i) {
+      digits[r * width + i] = lsb_first[width - 1 - i];
+    }
+  }
+  auto gray_less = [&](uint32_t a, uint32_t b) {
+    bool descending = false;
+    for (size_t i = 0; i < width; ++i) {
+      const uint32_t da = digits[a * width + i];
+      const uint32_t db = digits[b * width + i];
+      if (da != db) return descending ? da > db : da < db;
+      if (da & 1) descending = !descending;
+    }
+    return false;
+  };
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    const bool a_null = values[a] == kNullValue;
+    const bool b_null = values[b] == kNullValue;
+    if (a_null != b_null) return b_null;
+    if (a_null) return false;
+    return order == RowOrder::kLex ? values[a] < values[b] : gray_less(a, b);
+  });
+  return perm;
+}
+
+// A `components`-digit mixed-radix base covering c: uniform base b below a
+// most-significant digit sized to fit, so Gray reflection sees unequal
+// radices.
+BaseSequence BaseWithComponents(uint32_t c, int components) {
+  uint32_t b = 2;
+  auto capacity = [&](uint32_t radix) {
+    uint64_t cap = 1;
+    for (int i = 0; i < components; ++i) cap *= radix;
+    return cap;
+  };
+  while (capacity(b) < c) ++b;
+  std::vector<uint32_t> msb_first(static_cast<size_t>(components), b);
+  const uint64_t low = capacity(b) / b;
+  msb_first[0] = static_cast<uint32_t>(
+      std::max<uint64_t>(2, (c + low - 1) / low));
+  return BaseSequence::FromMsbFirst(msb_first);
+}
+
+TEST(RowOrderTest, CountingSortMatchesComparisonSort) {
+  std::mt19937_64 rng(2526);
+  for (uint32_t c : {1u, 2u, 3u, 50u, 2526u}) {
+    for (int components = 1; components <= 3; ++components) {
+      const BaseSequence base = BaseWithComponents(c, components);
+      ASSERT_GE(base.capacity(), c);
+      for (size_t n : {0u, 1u, 17u, 65u, 100000u}) {
+        for (int null_period : {0, 5}) {
+          std::vector<uint32_t> values(n);
+          for (size_t r = 0; r < n; ++r) {
+            values[r] = null_period > 0 && rng() % null_period == 0
+                            ? kNullValue
+                            : static_cast<uint32_t>(rng() % c);
+          }
+          for (RowOrder order : {RowOrder::kLex, RowOrder::kGray}) {
+            ASSERT_EQ(ComputeRowOrder(values, c, base, order),
+                      ReferenceRowOrder(values, base, order))
+                << "c=" << c << " components=" << components << " n=" << n
+                << " nulls=" << null_period << " " << ToString(order);
+          }
+        }
+      }
+    }
+  }
+  // All-NULL input keeps insertion order.
+  const std::vector<uint32_t> all_null(40, kNullValue);
+  for (RowOrder order : {RowOrder::kLex, RowOrder::kGray}) {
+    std::vector<uint32_t> perm =
+        ComputeRowOrder(all_null, 7, BaseWithComponents(7, 2), order);
+    EXPECT_EQ(perm, ReferenceRowOrder(all_null, BaseWithComponents(7, 2),
+                                      order));
+    EXPECT_TRUE(IsIdentityPermutation(perm));
+  }
+}
+
 // --- the compression payoff ----------------------------------------------
 
 // Sorting must shrink the WAH form of every-bitmap-summed storage on
@@ -639,6 +734,105 @@ TEST(RowOrderTest, SortedMutableIndexSurvivesMutationLifecycle) {
   ASSERT_TRUE(MutableStoredIndex::Open(dir.path(), &mutable_index).ok());
   EXPECT_EQ(mutable_index->base()->row_order_kind(), RowOrder::kLex);
   check_all("after reopen");
+}
+
+// Delete translates logical row ids to physical tombstones without an
+// inverse permutation; the tombstone file must still hold exactly the bits
+// the inverse-permutation translation names, over base rows the sort
+// moved, appended tail rows, duplicates and already-deleted rows.
+TEST(RowOrderTest, SortedMutableIndexDeleteMatchesInversePermutation) {
+  const uint32_t c = 40;
+  BaseSequence base = BaseSequence::Uniform(7, c);
+  std::vector<uint32_t> logical = RandomColumn(3000, c, 21, 11);
+  std::vector<uint32_t> perm =
+      ComputeRowOrder(logical, c, base, RowOrder::kGray);
+  BitmapIndex index = BitmapIndex::Build(ApplyPermutation(logical, perm), c,
+                                         base, Encoding::kRange);
+  TempDir dir;
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, dir.path(),
+                                 StorageScheme::kBitmapLevel,
+                                 *CodecByName("none"), &stored, {}, perm,
+                                 RowOrder::kGray)
+                  .ok());
+  stored.reset();
+  std::unique_ptr<MutableStoredIndex> m;
+  ASSERT_TRUE(MutableStoredIndex::Open(dir.path(), &m).ok());
+
+  std::vector<uint32_t> tail = RandomColumn(64, c, 22, 5);
+  ASSERT_TRUE(m->Append(tail).ok());
+  logical.insert(logical.end(), tail.begin(), tail.end());
+
+  // Reference physical tombstones, translated through InvertPermutation.
+  Bitvector expected = Bitvector::Zeros(logical.size());
+  auto mark = [&](const std::vector<uint32_t>& rows) {
+    const std::vector<uint32_t> inverse =
+        InvertPermutation(m->base()->row_order());
+    for (uint32_t r : rows) {
+      expected.Set(r < inverse.size() ? inverse[r] : r);
+      logical[r] = kNullValue;
+    }
+  };
+  auto tomb_bytes = [&] {
+    format::CheckedBlob blob;
+    EXPECT_TRUE(format::ReadBlobFile(*Env::Default(),
+                                     dir.path() /
+                                         TombFileName(m->generation()),
+                                     &blob)
+                    .ok());
+    return blob;
+  };
+  auto check = [&](const char* stage) {
+    format::CheckedBlob blob = tomb_bytes();
+    ASSERT_EQ(blob.raw_size, logical.size()) << stage;
+    ASSERT_TRUE(Bitvector::FromBytes(blob.payload, logical.size()) ==
+                expected)
+        << stage;
+    EXPECT_EQ(m->num_tombstones(), expected.Count()) << stage;
+    for (CompareOp op : kAllCompareOps) {
+      for (int64_t v : {int64_t{0}, int64_t{13}, int64_t{39}}) {
+        Status s;
+        Bitvector got =
+            m->Evaluate(EvalAlgorithm::kAuto, op, v, nullptr, nullptr, &s);
+        ASSERT_TRUE(s.ok()) << stage << ": " << s.ToString();
+        ASSERT_TRUE(got == ScanEvaluate(logical, op, v))
+            << stage << " op=" << std::string(ToString(op)) << " v=" << v;
+      }
+    }
+  };
+
+  const uint32_t base_rows = static_cast<uint32_t>(perm.size());
+  std::vector<uint32_t> first = {0,    perm[0],       perm[2999], 1234,
+                                 1234, base_rows,     base_rows + 63,
+                                 17,   base_rows + 5, base_rows + 5};
+  ASSERT_TRUE(m->Delete(first).ok());
+  mark(first);
+  check("first delete");
+
+  // Already-deleted rows (base and tail) ride along with fresh ones.
+  std::vector<uint32_t> second = {1234, base_rows + 63, 2999, 42,
+                                  base_rows + 6, 0};
+  ASSERT_TRUE(m->Delete(second).ok());
+  mark(second);
+  check("second delete");
+
+  // An out-of-range row fails before any state changes: the tombstone
+  // file, the count and every answer stay as they were, and the handle
+  // keeps accepting deletes.
+  const std::vector<uint8_t> before = tomb_bytes().payload;
+  const std::vector<uint32_t> bad = {7, static_cast<uint32_t>(logical.size())};
+  EXPECT_EQ(m->Delete(bad).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(tomb_bytes().payload, before);
+  check("rejected delete");
+
+  // After a plain compaction the carried-forward permutation covers the
+  // former tail, and deletes translate through it the same way.
+  ASSERT_TRUE(m->Compact().ok());
+  expected = Bitvector::Zeros(logical.size());
+  std::vector<uint32_t> third = {7, base_rows + 1, 1234, 2500, 2500};
+  ASSERT_TRUE(m->Delete(third).ok());
+  mark(third);
+  check("delete after compaction");
 }
 
 }  // namespace

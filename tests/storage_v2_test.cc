@@ -8,13 +8,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bitmap/crc32c.h"
+#include "compress/wah_codec.h"
 #include "core/bitmap_index.h"
 #include "obs/metrics.h"
 #include "storage/env.h"
@@ -630,6 +633,63 @@ TEST(StorageV2Test, WahCodecServesCompressedDomainEngineDirectly) {
     }
     EXPECT_GT(CounterValue("storage.wah_direct_fetches"), direct_before)
         << "stored WAH payloads were never handed to the engine directly";
+  }
+}
+
+// Stored-WAH bitmap blobs record the byte image's size as their raw size
+// without the writer ever building that image: every file must be exactly
+// the blob of EncodeBits(bitmap) with raw size ceil(N / 8), the index's
+// uncompressed_bytes must sum those sizes, and the whole directory must
+// keep its golden digest.
+TEST(StorageV2Test, WahCodecBitmapFilesAreByteExact) {
+  const size_t n = 777;  // not a multiple of 8
+  const uint64_t raw_size = (n + 7) / 8;
+  const std::pair<Encoding, uint32_t> golden_digest[] = {
+      {Encoding::kRange, 0x59e94ba1u}, {Encoding::kEquality, 0xddfa81a5u}};
+  for (const auto& [encoding, digest] : golden_digest) {
+    BitmapIndex index = MakeIndex(encoding, /*c=*/12, n, /*seed=*/29);
+    TempDir dir;
+    std::unique_ptr<StoredIndex> stored;
+    ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                   StorageScheme::kBitmapLevel,
+                                   *CodecByName("wah"), &stored)
+                    .ok());
+    const uint32_t slots = NumStoredBitmaps(encoding, 12);
+    EXPECT_EQ(stored->uncompressed_bytes(),
+              static_cast<int64_t>(slots * raw_size));
+    std::unique_ptr<StoredIndex> reopened;
+    ASSERT_TRUE(StoredIndex::Open(dir.path() / "idx", &reopened).ok());
+    EXPECT_EQ(reopened->uncompressed_bytes(), stored->uncompressed_bytes());
+
+    for (uint32_t j = 0; j < slots; ++j) {
+      const std::filesystem::path path =
+          dir.path() / "idx" / ("c0_b" + std::to_string(j) + ".bm");
+      std::ifstream f(path, std::ios::binary);
+      const std::vector<uint8_t> on_disk(
+          (std::istreambuf_iterator<char>(f)),
+          std::istreambuf_iterator<char>());
+      EXPECT_EQ(on_disk,
+                format::EncodeBlobFile(
+                    WahCodec::EncodeBits(index.Fetch(0, j, nullptr)),
+                    raw_size))
+          << path;
+    }
+
+    // Digest over every file, in name order.
+    std::map<std::string, std::vector<char>> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir.path() / "idx")) {
+      std::ifstream f(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()] = std::vector<char>(
+          std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+    }
+    uint32_t crc = 0;
+    for (const auto& [name, bytes] : files) {
+      crc = Crc32cExtend(crc, name.data(), name.size());
+      crc = Crc32cExtend(crc, bytes.data(), bytes.size());
+    }
+    EXPECT_EQ(crc, digest) << ToString(encoding) << " digest " << std::hex
+                           << crc;
   }
 }
 
