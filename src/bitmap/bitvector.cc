@@ -5,6 +5,11 @@
 
 namespace bix {
 
+// The byte image of a bitvector is its words' in-memory layout; like the
+// storage format, this assumes a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "bix targets little-endian hosts");
+
 namespace {
 constexpr size_t kWordBits = 64;
 
@@ -107,31 +112,16 @@ std::vector<uint32_t> Bitvector::ToSetBitIndices() const {
 }
 
 std::vector<uint8_t> Bitvector::ToBytes() const {
-  const size_t num_bytes = (num_bits_ + 7) / 8;
-  if constexpr (std::endian::native == std::endian::little) {
-    // The byte image is the words' little-endian layout, truncated.
-    const auto* image = reinterpret_cast<const uint8_t*>(words_.data());
-    return std::vector<uint8_t>(image, image + num_bytes);
-  } else {
-    std::vector<uint8_t> bytes(num_bytes);
-    for (size_t i = 0; i < num_bytes; ++i) {
-      bytes[i] = static_cast<uint8_t>(words_[i >> 3] >> ((i & 7) * 8));
-    }
-    return bytes;
-  }
+  // The byte image is the words' little-endian layout, truncated.
+  const auto* image = reinterpret_cast<const uint8_t*>(words_.data());
+  return std::vector<uint8_t>(image, image + (num_bits_ + 7) / 8);
 }
 
 Bitvector Bitvector::FromBytes(std::span<const uint8_t> bytes, size_t num_bits) {
   BIX_CHECK(bytes.size() >= (num_bits + 7) / 8);
   Bitvector bv(num_bits);
   size_t num_bytes = (num_bits + 7) / 8;
-  if constexpr (std::endian::native == std::endian::little) {
-    if (num_bytes != 0) std::memcpy(bv.words_.data(), bytes.data(), num_bytes);
-  } else {
-    for (size_t i = 0; i < num_bytes; ++i) {
-      bv.words_[i >> 3] |= uint64_t{bytes[i]} << ((i & 7) * 8);
-    }
-  }
+  if (num_bytes != 0) std::memcpy(bv.words_.data(), bytes.data(), num_bytes);
   bv.ClearTail();
   return bv;
 }

@@ -88,7 +88,6 @@ std::vector<uint32_t> ComputeRowOrder(std::span<const uint32_t> values,
     return bucket[v];
   };
 
-  // One histogram pass, one prefix sum, one stable scatter.
   std::vector<uint32_t> next(c + 2, 0);
   for (uint32_t v : values) ++next[bucket_of(v) + 1];
   for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
