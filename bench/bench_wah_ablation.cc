@@ -27,7 +27,6 @@
 #include "bench_json.h"
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
-#include "bitmap/wah_kernels.h"
 #include "core/bitmap_index.h"
 #include "core/compressed_source.h"
 #include "core/eval.h"
@@ -218,82 +217,6 @@ int main(int argc, char** argv) {
     json.Add("wah_ablation_micro", params, "wah_kb", wah_kb, "KB");
   }
 
-  // k-ary merge lane: legacy linear scan vs the adaptive run-event heap
-  // with dense fallback (bench_wah_merge sweeps the full strategy/fan-in
-  // grid; this lane tracks the two endpoints that gate regressions).  On
-  // uniform noise the adaptive merge's dense fallback must beat the
-  // legacy O(k)-per-group scan by a growing margin as k rises.
-  std::printf("\nk-ary OR merge, %zu-bit operands, legacy scan vs adaptive "
-              "heap+fallback\n\n", bits);
-  std::printf("%-22s %4s | %12s %12s | %9s\n", "operand shape", "k",
-              "legacy us", "adaptive us", "speedup");
-  struct MergeLane {
-    const char* name;
-    double density;
-    bool clustered;
-  };
-  const MergeLane lanes[] = {
-      {"uniform noise 50%", 0.5, false},
-      {"uniform 0.1%", 0.001, false},
-      {"clustered 10% r=4096", 0.1, true},
-  };
-  for (const MergeLane& lane : lanes) {
-    for (size_t k : {8u, 16u}) {
-      std::vector<WahBitvector> operands;
-      for (size_t i = 0; i < k; ++i) {
-        Bitvector d = lane.clustered
-                          ? ClusteredDense(bits, lane.density, 4096, 100 + i)
-                          : RandomDense(bits, lane.density, 100 + i);
-        operands.push_back(WahBitvector::FromBitvector(d));
-      }
-      double lane_us[2] = {};
-      size_t counts[2] = {};
-      const WahMergeStrategy strategies[] = {WahMergeStrategy::kLegacy,
-                                             WahMergeStrategy::kAdaptive};
-      for (int s = 0; s < 2; ++s) {
-        SetWahMergeStrategy(strategies[s]);
-        // Parity check runs untimed; the timed loop measures the merge the
-        // way the auto engine consumes it (a fallback result stays dense —
-        // the engine folds it onward without re-compressing).
-        counts[s] = OrOfMany(operands).Count();
-        size_t guard = 0;
-        double best_us = 0;
-        for (int r = 0; r < reps; ++r) {
-          auto start = std::chrono::steady_clock::now();
-          WahMergeOutput out = OrOfManyAdaptive(operands);
-          const double us = 1e6 * std::chrono::duration<double>(
-                                      std::chrono::steady_clock::now() - start)
-                                      .count();
-          guard += out.dense_fallback ? out.dense.words().size()
-                                      : out.wah.code_words().size();
-          // min-of-reps: robust against scheduler/turbo noise at low rep
-          // counts (the smoke lane runs only a handful of iterations).
-          if (r == 0 || us < best_us) best_us = us;
-        }
-        lane_us[s] = best_us;
-        if (guard == 0) counts[s] = size_t(-1);  // merge produced nothing
-      }
-      SetWahMergeStrategy(WahMergeStrategy::kAdaptive);
-      if (counts[0] != counts[1]) {
-        std::printf("FAIL: merge strategies disagree on %s k=%zu\n",
-                    lane.name, k);
-        return 1;
-      }
-      std::printf("%-22s %4zu | %12.1f %12.1f | %8.2fx\n", lane.name, k,
-                  lane_us[0], lane_us[1],
-                  lane_us[1] > 0 ? lane_us[0] / lane_us[1] : 0.0);
-      for (int s = 0; s < 2; ++s) {
-        json.Add("wah_ablation_kary_merge",
-                 {{"shape", lane.name},
-                  {"density", lane.density},
-                  {"bits", bits},
-                  {"k", static_cast<int64_t>(k)},
-                  {"strategy", ToString(strategies[s])}},
-                 "merge_us", lane_us[s], "us");
-      }
-    }
-  }
-
   // End-to-end: the same predicate sweep over a WahCompressedSource under
   // each engine.  plain = decompress-then-op, wah = compressed-domain,
   // auto = per-operand choice; results are bit-identical (checksummed).
@@ -351,17 +274,16 @@ int main(int argc, char** argv) {
   // Row-reordering lanes (core/row_order.h, DESIGN.md §15): the same
   // relation indexed in arrival (shuffled) order versus after a lex / Gray
   // sort.  Sorting multiplies WAH compression (arXiv 0901.3751), and the
-  // smaller operands pull the auto engine's per-operand choice toward
-  // compressed execution.  These in-memory sources never calibrate, so the
-  // choice runs against the fixed 1/4 break-even and the recorded
-  // wah_engine.calibrated_ratio is 0.  Foundset checksums are order-invariant, so all three arms
-  // must agree bit-for-bit on every query's count.
+  // smaller operands pull the auto engine's per-operand choice (WAH form at
+  // most 1/32 of dense) toward compressed execution.  Foundset checksums are
+  // order-invariant, so all three arms must agree bit-for-bit on every
+  // query's count.
   const size_t sort_rows = smoke ? 100000 : 1000000;
   std::printf("\nrow reordering: shuffled vs sorted builds, %zu rows, "
               "equality encoding, auto engine\n\n", sort_rows);
-  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s\n", "relation",
+  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s\n", "relation",
               "order", "wah KB", "ratio", "comp ops", "plain ops",
-              "auto us/q", "cal ratio");
+              "auto us/q");
 
   struct SortLane {
     const char* name;
@@ -377,8 +299,6 @@ int main(int argc, char** argv) {
       obs::MetricsRegistry::Global().GetCounter("wah_engine.compressed_ops");
   obs::Counter& plain_ops_counter =
       obs::MetricsRegistry::Global().GetCounter("wah_engine.plain_ops");
-  obs::Gauge& calibrated_gauge =
-      obs::MetricsRegistry::Global().GetGauge("wah_engine.calibrated_ratio");
   for (const SortLane& lane : sort_lanes) {
     std::vector<uint32_t> shuffled =
         lane.zipf ? GenerateZipf(sort_rows, lane.cardinality, 1.2, 77)
@@ -424,7 +344,6 @@ int main(int argc, char** argv) {
                                      lane.cardinality, query_reps, &checksum);
       const int64_t compressed_ops = comp_ops_counter.value() - comp0;
       const int64_t plain_ops = plain_ops_counter.value() - plain0;
-      const int64_t calibrated = calibrated_gauge.value();
       if (arm.order == RowOrder::kNone) {
         shuffled_checksum = checksum;
       } else if (checksum != shuffled_checksum) {
@@ -432,13 +351,11 @@ int main(int argc, char** argv) {
                     lane.name, arm.name);
         return 1;
       }
-      std::printf("%-22s %-9s | %10.1f %6.2fx | %10lld %10lld | %10.1f "
-                  "%9lld\n",
+      std::printf("%-22s %-9s | %10.1f %6.2fx | %10lld %10lld | %10.1f\n",
                   lane.name, arm.name,
                   static_cast<double>(wah_bytes) / 1024, ratio,
                   static_cast<long long>(compressed_ops),
-                  static_cast<long long>(plain_ops), auto_us,
-                  static_cast<long long>(calibrated));
+                  static_cast<long long>(plain_ops), auto_us);
       const std::vector<bench::BenchParam> params = {
           {"relation", lane.name},
           {"order", arm.name},
@@ -452,8 +369,6 @@ int main(int argc, char** argv) {
                static_cast<double>(compressed_ops), "count");
       json.Add("wah_ablation_roworder", params, "plain_ops",
                static_cast<double>(plain_ops), "count");
-      json.Add("wah_ablation_roworder", params, "calibrated_ratio",
-               static_cast<double>(calibrated), "permille");
     }
   }
 

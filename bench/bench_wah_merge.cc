@@ -1,19 +1,16 @@
-// Micro-benchmark for the k-ary WAH merge strategies (bitmap/wah_kernels.cc):
-// the run-event heap, the original linear per-group scan, the always-dense
-// fold, and the adaptive merge that starts on the heap and falls back to the
-// dense accumulator on low-compressibility inputs.
+// Micro-benchmark for the k-ary WAH OR fold (bitmap/wah_kernels.cc): every
+// operand's code words stitched into one dense accumulator, the form the
+// compressed engines consume.
 //
 // The grid sweeps bit density (sparse fills -> uniform noise) against fan-in
-// k in {2, 4, 8, 16, 32}, measuring OrOfMany and the counting form for each
-// strategy.  Expected shape: the heap wins wherever fills dominate and its
-// advantage grows with k (O(log k) per run event vs O(k) per group step);
-// on uniform noise the heap degenerates and the adaptive strategy's dense
-// fallback takes over, tracking the dense fold.  Results are checksummed
-// across strategies — a divergence fails the run.
+// k in {2, 4, 8, 16, 32}.  Each result is checked against a pairwise WAH OR
+// fold — a divergence fails the run.
 //
 // Usage: bench_wah_merge [--smoke] [OUT.json]
 //   --smoke    smaller bitmaps and fewer reps (registered as a ctest smoke)
 //   OUT.json   also write every measurement as bench_json.h rows
+
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
@@ -54,49 +51,33 @@ Bitvector ClusteredDense(size_t bits, double density, size_t run,
   return out;
 }
 
-struct MergeSample {
-  double merge_us = 0;  // OrOfManyAdaptive — the form the engine consumes
-  double count_us = 0;  // CountOrOfMany
-  size_t checksum = 0;  // popcount of the union (strategy-independent)
-};
-
-MergeSample Measure(const std::vector<WahBitvector>& operands, int reps) {
-  MergeSample s;
-  // The parity checksum is computed once, outside the timed loops, so the
-  // timings cover the merge itself and not a popcount over the result.
-  s.checksum = OrOfMany(operands).Count();
-  // Both loops keep the minimum across reps: min-of-reps is robust against
-  // scheduler and turbo noise at the low rep counts the smoke lane uses.
-  {
-    size_t guard = 0;
-    for (int i = 0; i < reps; ++i) {
-      auto start = std::chrono::steady_clock::now();
-      // Time the merge as the auto engine consumes it: a fallback result
-      // stays dense (the caller folds it onward) instead of paying a
-      // re-compression the engine would never ask for.
-      WahMergeOutput out = OrOfManyAdaptive(operands);
-      const double us = 1e6 * std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-      guard += out.dense_fallback ? out.dense.words().size()
-                                  : out.wah.code_words().size();
-      if (i == 0 || us < s.merge_us) s.merge_us = us;
-    }
-    if (guard == 0) s.checksum = size_t(-1);  // merge produced nothing
+// Minimum over `reps` of the k-ary OR fold's wall time, in microseconds.
+// Returns -1 when the fold differs from the pairwise WAH OR.
+double MeasureMergeUs(const std::vector<WahBitvector>& operands, int reps) {
+  std::vector<const WahBitvector*> ptrs;
+  ptrs.reserve(operands.size());
+  for (const WahBitvector& o : operands) ptrs.push_back(&o);
+  // Pairwise WAH OR: the reference the fold must match.
+  WahBitvector reference = operands[0];
+  for (size_t i = 1; i < operands.size(); ++i) {
+    reference = WahBitvector::Or(reference, operands[i]);
   }
-  {
-    size_t guard = 0;
-    for (int i = 0; i < reps; ++i) {
-      auto start = std::chrono::steady_clock::now();
-      guard = CountOrOfMany(operands);
-      const double us = 1e6 * std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-      if (i == 0 || us < s.count_us) s.count_us = us;
-    }
-    if (guard != s.checksum) s.checksum = size_t(-1);  // forces the FAIL path
+  // The parity check runs once, outside the timed loop; it is also the
+  // warm-up run.
+  if (!(OrOfMany(operands) == reference)) return -1;
+  // min-of-reps: robust against scheduler and turbo noise at the low rep
+  // counts the smoke lane uses.
+  double best_us = 0;
+  for (int i = 0; i < reps; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    // Timed as the engines consume it: the result stays dense.
+    Bitvector out = DenseOrOfMany(ptrs);
+    const double us = 1e6 * std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    if (i == 0 || us < best_us) best_us = us;
   }
-  return s;
+  return best_us;
 }
 
 struct Shape {
@@ -119,6 +100,13 @@ int main(int argc, char** argv) {
   }
   bench::BenchJsonWriter json;
 
+  // Each rep frees its result, and by default glibc may hand the heap top
+  // back to the kernel on that free, so the next rep's result pays fresh
+  // page faults (about 16 per 64 KB smoke result) that belong to the
+  // allocator's trim policy, not to the fold.  Keep freed memory in the
+  // process so every rep times the same steady state.
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+
   const size_t bits = smoke ? (1 << 19) : (1 << 22);
   const int reps = smoke ? 3 : 10;
   const Shape shapes[] = {
@@ -128,14 +116,10 @@ int main(int argc, char** argv) {
       {"noise 50%", 0.5, 0},
   };
   const size_t fanins[] = {2, 4, 8, 16, 32};
-  const WahMergeStrategy strategies[] = {
-      WahMergeStrategy::kLegacy, WahMergeStrategy::kHeap,
-      WahMergeStrategy::kAdaptive, WahMergeStrategy::kDense};
 
-  std::printf("k-ary WAH OR merge, %zu-bit operands, us/merge%s\n\n", bits,
+  std::printf("k-ary WAH OR fold, %zu-bit operands, us/merge%s\n\n", bits,
               smoke ? "  [smoke]" : "");
-  std::printf("%-22s %4s | %10s %10s %10s %10s | %10s\n", "shape", "k",
-              "legacy", "heap", "adaptive", "dense", "adapt/leg");
+  std::printf("%-22s %4s | %10s\n", "shape", "k", "merge us");
 
   for (const Shape& shape : shapes) {
     for (size_t k : fanins) {
@@ -149,45 +133,22 @@ int main(int argc, char** argv) {
                                            shape.cluster_run, seed);
         operands.push_back(WahBitvector::FromBitvector(d));
       }
-
-      double us[4] = {};
-      double count_us[4] = {};
-      size_t checksum = 0;
-      for (int s = 0; s < 4; ++s) {
-        SetWahMergeStrategy(strategies[s]);
-        MergeSample sample = Measure(operands, reps);
-        us[s] = sample.merge_us;
-        count_us[s] = sample.count_us;
-        if (s == 0) {
-          checksum = sample.checksum;
-        } else if (sample.checksum != checksum) {
-          std::printf("FAIL: %s disagrees on %s k=%zu\n",
-                      ToString(strategies[s]), shape.name, k);
-          return 1;
-        }
+      const double us = MeasureMergeUs(operands, reps);
+      if (us < 0) {
+        std::printf("FAIL: fold disagrees with pairwise OR on %s k=%zu\n",
+                    shape.name, k);
+        return 1;
       }
-      SetWahMergeStrategy(WahMergeStrategy::kAdaptive);
-
-      std::printf("%-22s %4zu | %10.1f %10.1f %10.1f %10.1f | %9.2fx\n",
-                  shape.name, k, us[0], us[1], us[2], us[3],
-                  us[2] > 0 ? us[0] / us[2] : 0.0);
-      for (int s = 0; s < 4; ++s) {
-        std::vector<bench::BenchParam> params = {
-            {"shape", shape.name},
-            {"density", shape.density},
-            {"bits", static_cast<int64_t>(bits)},
-            {"k", static_cast<int64_t>(k)},
-            {"strategy", ToString(strategies[s])}};
-        json.Add("wah_merge", params, "merge_us", us[s], "us");
-        json.Add("wah_merge", params, "count_us", count_us[s], "us");
-      }
+      std::printf("%-22s %4zu | %10.1f\n", shape.name, k, us);
+      json.Add("wah_merge",
+               {{"shape", shape.name},
+                {"density", shape.density},
+                {"bits", static_cast<int64_t>(bits)},
+                {"k", static_cast<int64_t>(k)}},
+               "merge_us", us, "us");
     }
   }
 
-  std::printf(
-      "\nshape check: the heap dominates while fills dominate and scales "
-      "with k;\non noise the adaptive merge falls back to the dense fold "
-      "and tracks it.\n");
   if (!json_path.empty()) {
     if (!json.WriteFile(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

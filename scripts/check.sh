@@ -44,14 +44,6 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   cmake -B build -G Ninja
   cmake --build build --target bix_differential_tests
   ctest --test-dir build -L differential --output-on-failure
-  # Merge-strategy matrix: the same harness re-run with each k-ary WAH
-  # merge strategy pinned via BIX_WAH_MERGE, so a bug in the run-event
-  # heap, the dense fold, or the adaptive fallback cannot hide behind
-  # whichever strategy the tests happen to pick by default.
-  for s in legacy heap dense adaptive; do
-    BIX_WAH_MERGE=$s ctest --test-dir build -L differential \
-        --output-on-failure
-  done
   # Sorted-index axis under ASan + UBSan: the engine harness re-runs its
   # designs through the row-reordering pass (Design::sort), and the
   # row-order suite fuzzes the permutation sidecar codec — remap and
@@ -166,6 +158,16 @@ if [[ "$RUN_MAIN" == 1 ]]; then
     exit 1
   fi
 
+  # The library reads no environment variables: behaviour is set through
+  # options and arguments only, so a run is reproducible from its command
+  # line.
+  envreads="$(grep -rn 'getenv' src/ || true)"
+  if [[ -n "$envreads" ]]; then
+    echo "check.sh: src/ reads the environment:" >&2
+    echo "$envreads" >&2
+    exit 1
+  fi
+
   ctest --test-dir build --output-on-failure
 
   # Heavy benches accept a divisor argument for quick smoke runs.
@@ -224,13 +226,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target bix_tests bix_differential_tests \
       bench_parallel_scaling
-  # WahCalibration* covers the exec engine's calibrated-ratio read path:
-  # concurrent kAuto evaluation racing CalibrateAutoBreakEven over the
-  # relaxed-atomic cost accumulators.
   ./build-tsan/tests/bix_tests \
-      --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:WahCalibration*:OperandCache*:Serve*'
-  # Parallel P3 probes under the compressed engines: kAuto probes on pool
-  # threads read the same calibration atomics.
+      --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:OperandCache*:Serve*'
+  # Parallel P3 probes under the compressed engines: concurrent kAuto and
+  # kWah evaluation on pool threads over shared sources and the
+  # process-wide wah_engine.* counters.
   ./build-tsan/tests/bix_differential_tests \
       --gtest_filter='PlannerEngineDifferential*'
   ./build-tsan/bench/bench_parallel_scaling --smoke \

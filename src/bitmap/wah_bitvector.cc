@@ -183,20 +183,14 @@ WahBitvector WahBitvector::BinaryOp(const WahBitvector& a,
   while (!x.done() && !y.done()) {
     if (x.is_fill() && y.is_fill()) {
       uint64_t n = std::min(x.groups_left(), y.groups_left());
-      uint32_t xg = x.fill_value() ? kLiteralMask : 0;
-      uint32_t yg = y.fill_value() ? kLiteralMask : 0;
-      uint32_t rg = op(xg, yg) & kLiteralMask;
+      uint32_t rg = op(x.group(), y.group()) & kLiteralMask;
       // A bitwise group op on two fills is itself a fill.
       BIX_DCHECK(rg == 0 || rg == kLiteralMask);
       out.AppendFill(rg == kLiteralMask, n);
       x.Consume(n);
       y.Consume(n);
     } else {
-      uint32_t xg = x.is_fill() ? (x.fill_value() ? kLiteralMask : 0)
-                                : x.literal();
-      uint32_t yg = y.is_fill() ? (y.fill_value() ? kLiteralMask : 0)
-                                : y.literal();
-      out.AppendLiteral(op(xg, yg) & kLiteralMask);
+      out.AppendLiteral(op(x.group(), y.group()) & kLiteralMask);
       x.Consume(1);
       y.Consume(1);
     }
@@ -224,11 +218,7 @@ size_t WahBitvector::AndCount(const WahBitvector& a, const WahBitvector& b) {
       x.Consume(n);
       y.Consume(n);
     } else {
-      uint32_t xg = x.is_fill() ? (x.fill_value() ? kLiteralMask : 0)
-                                : x.literal();
-      uint32_t yg = y.is_fill() ? (y.fill_value() ? kLiteralMask : 0)
-                                : y.literal();
-      count += static_cast<size_t>(PopCount64(xg & yg));
+      count += static_cast<size_t>(PopCount64(x.group() & y.group()));
       bit += kGroupBits;
       x.Consume(1);
       y.Consume(1);

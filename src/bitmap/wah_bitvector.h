@@ -69,23 +69,11 @@ class WahBitvector {
   static WahBitvector AndNot(const WahBitvector& a, const WahBitvector& b);
   WahBitvector Not() const;
 
-  /// Fused k-ary kernels over the compressed form (bitmap/wah_kernels.cc),
-  /// the run-at-a-time mirror of Bitvector::OrOfMany / AndOfMany.  One
-  /// merge pass over all k run streams, driven by a min-heap of run
-  /// boundaries so a step touches only the operands whose run changes; a
-  /// dominant fill (ones for OR, zeros for AND) decides its whole stretch
-  /// without the other operands' payloads being examined, and
-  /// low-compressibility inputs fall back to the blocked dense fold
-  /// mid-merge (see wah_kernels.h for the strategy knob and the adaptive
-  /// entry points).  `operands` must be non-empty with equal sizes; k == 1
-  /// short-circuits to a copy.
+  /// Fused k-ary kernels (bitmap/wah_kernels.cc): every operand is stitched
+  /// into one dense accumulator and the result compressed once.  `operands`
+  /// must be non-empty with equal sizes; k == 1 short-circuits to a copy.
   static WahBitvector OrOfMany(std::span<const WahBitvector* const> operands);
   static WahBitvector AndOfMany(std::span<const WahBitvector* const> operands);
-
-  /// Counting forms: popcount of the k-ary combination without
-  /// materializing it (fill runs contribute in O(1)).
-  static size_t CountOrOfMany(std::span<const WahBitvector* const> operands);
-  static size_t CountAndOfMany(std::span<const WahBitvector* const> operands);
 
   friend bool operator==(const WahBitvector& a, const WahBitvector& b) {
     return a.num_bits_ == b.num_bits_ && a.words_ == b.words_;
@@ -95,8 +83,6 @@ class WahBitvector {
   const std::vector<uint32_t>& code_words() const { return words_; }
 
  private:
-  friend struct WahAppendAccess;  // wah_kernels.cc builds outputs run-by-run
-
   template <typename GroupOp>
   static WahBitvector BinaryOp(const WahBitvector& a, const WahBitvector& b,
                                GroupOp op);

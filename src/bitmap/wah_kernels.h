@@ -4,103 +4,41 @@
 // The evaluation algorithms reduce to folds over k equal-length bitmaps
 // (EqualityEval's OR-sides, the planner's P3 conjunction).  Folding
 // compressed operands pairwise re-encodes k-1 intermediate results; the
-// kernels here instead merge all k run streams in one pass.
-//
-// The default merge is *event-driven*: a min-heap keyed on each operand's
-// next run boundary drives the pass, so a group step touches only the
-// operands whose run actually changes — O(log k) per run event instead of
-// the O(k) per-group rescan of the original merge.  Whenever any operand
-// sits in a *dominant* fill (a ones fill for OR, a zeros fill for AND) the
-// result over that whole stretch is decided in O(1) and the other operands
-// skip it heap-event-by-heap-event, without their payloads being examined —
-// the k-ary union shortcut of Lemire & Kaser's word-aligned bitmap work.
-//
-// On low-compressibility inputs run events degenerate to one per operand
-// per group and the heap only adds overhead; the adaptive merge detects
-// this mid-pass (cumulative events per group·operand above a threshold),
-// abandons the compressed domain, and finishes as an 8 KiB-blocked dense
-// fold (bitmap/bitvector_kernels.cc), re-compressing only if the caller
-// wants a WAH result — the per-region representation escape hatch of
-// Chambi et al.'s Roaring.  The counting forms never materialize the
-// combination at all.
+// kernels here instead stitch every operand's code words straight into one
+// dense accumulator, a word at a time.  Identity fills (zeros for OR, ones
+// for AND) skip their whole words, dominant fills overwrite them with pure
+// stores, and literals cost a few ALU ops per group, with no per-operand
+// Bitvector ever materialized.  A plain dense container beats run-at-a-time
+// work once data is not sparse (Chambi et al.'s Roaring), and this fold beat
+// the run-event heap merge it replaced in 17 of the 20 (shape, k) cells of
+// bench_wah_merge, sparse ones included (DESIGN.md §9).
 //
 // Contract: every k-ary entry point requires a non-empty operand span with
-// equal sizes (BIX_CHECK).  k == 1 short-circuits to a copy of the operand
-// (no decode/re-encode round trip).  Callers that can produce zero
-// operands must handle that case themselves; the evaluation algorithms and
-// the planner never do (their OR-sides and conjunctions are non-empty by
-// construction).
-//
-// The kernels are declared as static members of WahBitvector (they append
-// to the private run representation); this header adds the value-span
-// conveniences used by callers holding `std::vector<WahBitvector>`, the
-// strategy knob, and the adaptive entry points that hand back whichever
-// representation the merge ended in.
+// equal sizes (BIX_CHECK).  The WAH-returning forms short-circuit k == 1 to
+// a copy of the operand and otherwise compress the dense result once.
+// Callers that can produce zero operands must handle that case themselves;
+// the evaluation algorithms and the planner never do (their OR-sides and
+// conjunctions are non-empty by construction).
 
 #ifndef BIX_BITMAP_WAH_KERNELS_H_
 #define BIX_BITMAP_WAH_KERNELS_H_
 
 #include <span>
-#include <utility>
 
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 
 namespace bix {
 
-/// How the k-ary WAH merges execute.  Process-wide; the default is read
-/// once from the BIX_WAH_MERGE environment variable
-/// (adaptive|heap|legacy|dense, unknown values fall back to adaptive) so CI
-/// can force a strategy per process, and tests can override it in-process.
-///  * kAdaptive — run-event heap with the dense-accumulator fallback.
-///  * kHeap    — run-event heap, never falls back (for A/B measurement).
-///  * kLegacy  — the original linear per-group-step scan over all k
-///               decoders (O(k·groups) on low-compressibility inputs).
-///  * kDense   — always inflate and fold densely (the fallback path alone).
-/// Every strategy produces bit-identical, canonically-encoded results.
-enum class WahMergeStrategy : uint8_t { kAdaptive, kHeap, kLegacy, kDense };
+/// OR / AND of `operands` (non-empty, equal sizes) as dense words — the form
+/// the compressed engines keep going on.
+Bitvector DenseOrOfMany(std::span<const WahBitvector* const> operands);
+Bitvector DenseAndOfMany(std::span<const WahBitvector* const> operands);
 
-const char* ToString(WahMergeStrategy strategy);
-
-WahMergeStrategy GetWahMergeStrategy();
-void SetWahMergeStrategy(WahMergeStrategy strategy);
-
-/// Result of an adaptive k-ary merge: exactly one representation is
-/// populated.  When the merge fell back to the dense fold the result is
-/// handed back dense so callers that keep going on words (the auto engine,
-/// the planner's final decompress) never pay a gratuitous re-compression;
-/// callers that want WAH convert once via IntoWah.
-struct WahMergeOutput {
-  bool dense_fallback = false;
-  WahBitvector wah;  // valid when !dense_fallback
-  Bitvector dense;   // valid when dense_fallback
-
-  Bitvector IntoDense() && {
-    return dense_fallback ? std::move(dense) : wah.ToBitvector();
-  }
-  WahBitvector IntoWah() && {
-    return dense_fallback ? WahBitvector::FromBitvector(dense)
-                          : std::move(wah);
-  }
-};
-
-/// OR / AND of `operands` (non-empty, equal sizes) under the process-wide
-/// strategy, without forcing the result back to WAH on a dense fallback.
-WahMergeOutput OrOfManyAdaptive(std::span<const WahBitvector* const> operands);
-WahMergeOutput AndOfManyAdaptive(
-    std::span<const WahBitvector* const> operands);
-WahMergeOutput OrOfManyAdaptive(std::span<const WahBitvector> operands);
-WahMergeOutput AndOfManyAdaptive(std::span<const WahBitvector> operands);
-
-/// OR / AND of `operands` (non-empty, equal sizes) as a WAH result (a
-/// dense fallback re-compresses once).
+/// OR / AND of `operands` (non-empty, equal sizes) as a WAH result; the
+/// value-span form of WahBitvector::OrOfMany / AndOfMany.
 WahBitvector OrOfMany(std::span<const WahBitvector> operands);
 WahBitvector AndOfMany(std::span<const WahBitvector> operands);
-
-/// Popcount of the k-ary combination without materializing it (the dense
-/// fallback reduces block-at-a-time straight to a popcount).
-size_t CountOrOfMany(std::span<const WahBitvector> operands);
-size_t CountAndOfMany(std::span<const WahBitvector> operands);
 
 }  // namespace bix
 

@@ -1,11 +1,11 @@
-// Internal WAH code-word vocabulary and run decoder, shared by the codec
-// (wah_bitvector.cc) and the fused multi-operand kernels (wah_kernels.cc).
+// Internal WAH code-word vocabulary, shared by the codec (wah_bitvector.cc)
+// and the fused multi-operand kernels (wah_kernels.cc), and the codec's run
+// decoder.
 // Not part of the public surface; include only from bitmap/ sources.
 
 #ifndef BIX_BITMAP_WAH_RUN_DECODER_H_
 #define BIX_BITMAP_WAH_RUN_DECODER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,17 +49,6 @@ class RunDecoder {
     if (groups_left_ == 0) Advance();
   }
 
-  // Consumes `n` groups across run boundaries (the k-ary kernels skip the
-  // stretch a dominant fill of another operand decides).
-  void Skip(uint64_t n) {
-    while (n > 0) {
-      BIX_DCHECK(!done_);
-      uint64_t take = std::min(n, groups_left_);
-      Consume(take);
-      n -= take;
-    }
-  }
-
  private:
   void Advance() {
     if (index_ == words_.size()) {
@@ -84,60 +73,6 @@ class RunDecoder {
   bool is_fill_ = false;
   bool fill_value_ = false;
   uint64_t groups_left_ = 0;
-  uint32_t literal_ = 0;
-};
-
-// Absolute-position run cursor for the run-event heap merge
-// (wah_kernels.cc).  Unlike RunDecoder it never consumes partially: the
-// merge tracks its own position and only needs to know where each operand's
-// current run *ends* (the operand's next event).  Fill words split by the
-// 2^30 count ceiling are coalesced into one run, so every Next() is a real
-// run boundary — one heap event.
-class RunCursor {
- public:
-  explicit RunCursor(const std::vector<uint32_t>& words) : words_(words) {
-    Next();
-  }
-
-  bool done() const { return done_; }
-  bool is_fill() const { return is_fill_; }
-  bool fill_value() const { return fill_value_; }
-  uint32_t literal() const { return literal_; }
-
-  /// Absolute group index one past the current run.
-  uint64_t end() const { return end_; }
-
-  /// Advances to the next run (no-op once done).
-  void Next() {
-    if (index_ == words_.size()) {
-      done_ = true;
-      return;
-    }
-    uint32_t word = words_[index_++];
-    if (IsFill(word)) {
-      is_fill_ = true;
-      fill_value_ = FillValue(word);
-      uint64_t groups = FillCount(word);
-      while (index_ < words_.size() && IsFill(words_[index_]) &&
-             FillValue(words_[index_]) == fill_value_) {
-        groups += FillCount(words_[index_]);
-        ++index_;
-      }
-      end_ += groups;
-    } else {
-      is_fill_ = false;
-      literal_ = word;
-      end_ += 1;
-    }
-  }
-
- private:
-  const std::vector<uint32_t>& words_;
-  size_t index_ = 0;
-  uint64_t end_ = 0;
-  bool done_ = false;
-  bool is_fill_ = false;
-  bool fill_value_ = false;
   uint32_t literal_ = 0;
 };
 

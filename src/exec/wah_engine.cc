@@ -1,7 +1,5 @@
 #include "exec/wah_engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -38,104 +36,15 @@ obs::Counter& InflatedOperands() {
       "wah_engine.inflated_operands");
   return c;
 }
-obs::Counter& DenseFallbackOps() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "wah_engine.merge_fallback_ops");
-  return c;
-}
-obs::Gauge& CalibratedRatioGauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
-      "wah_engine.calibrated_ratio");
-  return g;
-}
-obs::Histogram& CompressedOpNs() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "wah_engine.compressed_op_ns");
-  return h;
-}
-obs::Histogram& PlainOpNs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("wah_engine.plain_op_ns");
-  return h;
-}
 
-// kAuto keeps an operand compressed only while its WAH form is at most this
-// fraction of the dense form.  Run-at-a-time ops on a barely-compressed
-// bitmap touch as many words as the dense kernel but with per-word branch
-// overhead, so the break-even sits well below 1.0.  The 1/4 here is only
-// the *fallback*: once the engine has timed enough real compressed and
-// dense ops, the measured break-even replaces it (see
-// CalibrateAutoBreakEven below).
-constexpr int64_t kAutoKeepFallbackPermille = 250;
-constexpr int64_t kCalibrationMaxOps = 512;  // stop timing after this many
-constexpr int64_t kMinCalibrationOps = 16;   // per side, to trust a derive
-constexpr int64_t kCalibratedRatioMinPermille = 1000 / 32;
-constexpr int64_t kCalibratedRatioMaxPermille = 1000 / 2;
-
-// Per-substrate op cost accumulators feeding the break-even derivation.
-// All fields are relaxed atomics: samples arrive from whatever thread runs
-// the engine, and the derived ratio is read per fetched operand — the
-// calibrated-ratio path must be data-race-free under the segmented
-// engine's pool threads.
-struct OpCostAccumulator {
-  std::atomic<int64_t> ops{0};
-  std::atomic<int64_t> ns{0};
-  std::atomic<int64_t> bytes{0};
-
-  bool sampling() const {
-    return ops.load(std::memory_order_relaxed) < kCalibrationMaxOps;
-  }
-  void Record(int64_t op_ns, int64_t op_bytes) {
-    ops.fetch_add(1, std::memory_order_relaxed);
-    ns.fetch_add(op_ns, std::memory_order_relaxed);
-    bytes.fetch_add(op_bytes, std::memory_order_relaxed);
-  }
-  void Reset() {
-    ops.store(0, std::memory_order_relaxed);
-    ns.store(0, std::memory_order_relaxed);
-    bytes.store(0, std::memory_order_relaxed);
-  }
-};
-OpCostAccumulator g_compressed_cost;
-OpCostAccumulator g_plain_cost;
-// Installed break-even ratio in permille; 0 = not calibrated yet, use the
-// 1/4 fallback.
-std::atomic<int64_t> g_calibrated_permille{0};
-
-int64_t EffectiveAutoKeepPermille() {
-  int64_t p = g_calibrated_permille.load(std::memory_order_relaxed);
-  return p > 0 ? p : kAutoKeepFallbackPermille;
-}
-
-// The measured break-even, or 0 when either side lacks samples.
-int64_t DeriveCalibratedPermille() {
-  const int64_t c_ops = g_compressed_cost.ops.load(std::memory_order_relaxed);
-  const int64_t d_ops = g_plain_cost.ops.load(std::memory_order_relaxed);
-  const int64_t c_bytes =
-      g_compressed_cost.bytes.load(std::memory_order_relaxed);
-  const int64_t d_bytes = g_plain_cost.bytes.load(std::memory_order_relaxed);
-  if (c_ops < kMinCalibrationOps || d_ops < kMinCalibrationOps ||
-      c_bytes <= 0 || d_bytes <= 0) {
-    return 0;
-  }
-  const double c_ns_per_byte =
-      static_cast<double>(g_compressed_cost.ns.load(std::memory_order_relaxed)) /
-      static_cast<double>(c_bytes);
-  const double d_ns_per_byte =
-      static_cast<double>(g_plain_cost.ns.load(std::memory_order_relaxed)) /
-      static_cast<double>(d_bytes);
-  if (c_ns_per_byte <= 0) return 0;
-  int64_t permille =
-      static_cast<int64_t>(1000.0 * d_ns_per_byte / c_ns_per_byte);
-  return std::clamp(permille, kCalibratedRatioMinPermille,
-                    kCalibratedRatioMaxPermille);
-}
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// kAuto keeps a fetched operand compressed iff its WAH form is at most
+// 1/kAutoKeepDenominator of its dense form.  1/32 is what the op-timing
+// calibration this rule replaced installed on every measured perfbench
+// cold_sorted seed: its per-byte break-even (11.4–13.3 permille) sat below
+// its 1/32 clamp.  A fixed 1/4 ran that workload slower (DESIGN.md §9).  The
+// rule reads nothing but the operand, so the decision is the same in every
+// process and for every source.
+constexpr size_t kAutoKeepDenominator = 32;
 
 // The engine's operand: WAH-compressed or dense, decided per operand at
 // fetch time.  Compressed x compressed operations stay in the compressed
@@ -205,13 +114,6 @@ class WahVec {
   void Binary(const WahVec& o, Op op) {
     BIX_CHECK(repr_ != Repr::kNull && o.repr_ != Repr::kNull);
     if (repr_ == Repr::kWah && o.repr_ == Repr::kWah) {
-      // Break-even sampling: the first kCalibrationMaxOps compressed ops
-      // are timed against the bytes they touch; afterwards this is one
-      // relaxed load per op.
-      const bool sample = g_compressed_cost.sampling();
-      const int64_t t0 = sample ? NowNs() : 0;
-      const int64_t op_bytes =
-          static_cast<int64_t>(wah_.SizeInBytes() + o.wah_.SizeInBytes());
       switch (op) {
         case Op::kAnd:
           wah_ = WahBitvector::And(wah_, o.wah_);
@@ -222,11 +124,6 @@ class WahVec {
         case Op::kXor:
           wah_ = WahBitvector::Xor(wah_, o.wah_);
           break;
-      }
-      if (sample) {
-        const int64_t ns = NowNs() - t0;
-        g_compressed_cost.Record(ns, op_bytes);
-        CompressedOpNs().Observe(ns);
       }
       CompressedOps().Increment();
       obs::ProfCount(obs::ProfCounter::kWahCompressedOps);
@@ -242,8 +139,6 @@ class WahVec {
       rhs = &inflated;
       InflatedOperands().Increment();
     }
-    const bool sample = g_plain_cost.sampling();
-    const int64_t t0 = sample ? NowNs() : 0;
     switch (op) {
       case Op::kAnd:
         dense_.AndWith(*rhs);
@@ -254,13 +149,6 @@ class WahVec {
       case Op::kXor:
         dense_.XorWith(*rhs);
         break;
-    }
-    if (sample) {
-      const int64_t ns = NowNs() - t0;
-      // Both operands stream through at dense width.
-      g_plain_cost.Record(
-          ns, static_cast<int64_t>(2 * dense_.words().size() * 8));
-      PlainOpNs().Observe(ns);
     }
     PlainOps().Increment();
     obs::ProfCount(obs::ProfCounter::kWahPlainOps);
@@ -278,21 +166,7 @@ class WahEngine {
   using Vec = WahVec;
 
   WahEngine(const BitmapSource& src, EngineKind kind, EvalStats* stats)
-      : src_(src), kind_(kind), stats_(stats) {
-    // Sources opened without the storage layer (and thus without the
-    // index-open calibration hook) still pick up the measured break-even:
-    // once both sampling windows have filled, the first engine constructed
-    // afterwards derives and installs it.
-    if (kind_ == EngineKind::kAuto &&
-        g_calibrated_permille.load(std::memory_order_relaxed) == 0 &&
-        !g_compressed_cost.sampling() && !g_plain_cost.sampling()) {
-      const int64_t derived = DeriveCalibratedPermille();
-      if (derived > 0) {
-        g_calibrated_permille.store(derived, std::memory_order_relaxed);
-        CalibratedRatioGauge().Set(derived);
-      }
-    }
-  }
+      : src_(src), kind_(kind), stats_(stats) {}
 
   const BitmapSource& source() const { return src_; }
   EvalStats* stats() const { return stats_; }
@@ -344,23 +218,17 @@ class WahEngine {
     bool all_wah = true;
     for (const Vec& o : operands) all_wah = all_wah && o.is_wah();
     const int64_t fused_ops = static_cast<int64_t>(operands.size()) - 1;
+    // Either way the result stays dense (kWah callers re-compress in
+    // IntoWah at the very end).
     if (all_wah) {
+      // Every operand's code words are stitched into one accumulator
+      // without inflating any operand, so the ops count as compressed.
       std::vector<const WahBitvector*> ptrs;
       ptrs.reserve(operands.size());
       for (const Vec& o : operands) ptrs.push_back(&o.wah());
-      WahMergeOutput merged = OrOfManyAdaptive(ptrs);
-      if (merged.dense_fallback) {
-        // The merge bailed out mid-pass: the k-ary result already exists as
-        // dense words, so keep it that way (kWah callers re-compress in
-        // IntoWah at the very end, not here).
-        DenseFallbackOps().Increment(fused_ops);
-        PlainOps().Increment(fused_ops);
-        obs::ProfCount(obs::ProfCounter::kWahPlainOps, fused_ops);
-        return WahVec::Dense(std::move(merged.dense));
-      }
       CompressedOps().Increment(fused_ops);
       obs::ProfCount(obs::ProfCounter::kWahCompressedOps, fused_ops);
-      return WahVec::Wah(std::move(merged.wah));
+      return WahVec::Dense(DenseOrOfMany(ptrs));
     }
     std::vector<Bitvector> dense;
     dense.reserve(operands.size());
@@ -374,8 +242,7 @@ class WahEngine {
   bool KeepCompressed(const WahBitvector& w) const {
     if (kind_ == EngineKind::kWah) return true;
     const size_t dense_bytes = ((src_.num_records() + 63) / 64) * 8;
-    return w.SizeInBytes() * 1000 <=
-           dense_bytes * static_cast<size_t>(EffectiveAutoKeepPermille());
+    return w.SizeInBytes() * kAutoKeepDenominator <= dense_bytes;
   }
 
   const BitmapSource& src_;
@@ -453,23 +320,6 @@ WahBitvector EvaluateToWah(const BitmapSource& source, EvalAlgorithm algorithm,
                            EvalStats* stats) {
   return Evaluate(source, algorithm, op, v, engine, stats,
                   [](WahVec r) { return std::move(r).IntoWah(); });
-}
-
-double CalibrateAutoBreakEven() {
-  const int64_t derived = DeriveCalibratedPermille();
-  if (derived > 0) {
-    g_calibrated_permille.store(derived, std::memory_order_relaxed);
-  }
-  const int64_t effective = EffectiveAutoKeepPermille();
-  CalibratedRatioGauge().Set(effective);
-  return static_cast<double>(effective) / 1000.0;
-}
-
-void ResetAutoCalibrationForTest() {
-  g_compressed_cost.Reset();
-  g_plain_cost.Reset();
-  g_calibrated_permille.store(0, std::memory_order_relaxed);
-  CalibratedRatioGauge().Set(0);
 }
 
 }  // namespace bix::exec

@@ -4,16 +4,15 @@
 // core/eval_algorithms.h, next to the sequential dense engine (core/eval.cc)
 // and the segmented recording engine (exec/segmented_eval.cc).  Operands are
 // fetched through BitmapSource::FetchWah and stay WAH-compressed: each
-// AND/OR/XOR/NOT runs run-at-a-time on the code words, and EqualityEval's
-// k-ary OR-sides go through the fused WahBitvector::OrOfMany merge.  The
-// dense form is materialized exactly once, for the final result.
+// binary AND/OR/XOR and NOT runs run-at-a-time on the code words.
+// EqualityEval's k-ary OR-sides stitch every operand's code words into one
+// dense accumulator (bitmap/wah_kernels.h) and keep going on dense words.
 //
-// EngineKind::kWah keeps every operand compressed unconditionally;
-// EngineKind::kAuto decides per operand by compression ratio — an operand
-// whose WAH form is not markedly smaller than its dense form is inflated on
-// fetch and its operations run on dense words (a dense bitmap's WAH form is
-// ~3% *larger*, so compressed execution only wins where fills dominate).
-// Mixed compressed/dense operations densify on demand.
+// EngineKind::kWah keeps every fetched operand compressed unconditionally;
+// EngineKind::kAuto keeps one compressed iff its WAH form is at most 1/32
+// of its dense form, and otherwise inflates it on fetch so its operations
+// run on dense words.  The rule depends on the operand alone: no timing, no
+// process-wide state.  Mixed compressed/dense operations densify on demand.
 //
 // Results are bit-identical to the other engines and EvalStats are equal by
 // construction: the templates count operations (OpCounter) and both FetchWah
@@ -43,35 +42,13 @@ Bitvector EvaluatePredicateCompressed(const BitmapSource& source,
                                       EvalStats* stats = nullptr);
 
 /// Same evaluation, handed back WAH-compressed: a result the engine holds
-/// dense (kAuto inflated an operand, or a k-ary merge fell back) is
-/// compressed once here.  For callers that keep going in the compressed
-/// domain; callers that want the foundset itself should use
-/// EvaluatePredicateCompressed, which never converts a dense result.
+/// dense (kAuto inflated an operand, or a k-ary OR ran) is compressed once
+/// here.  For callers that keep going in the compressed domain; callers
+/// that want the foundset itself should use EvaluatePredicateCompressed,
+/// which never converts a dense result.
 WahBitvector EvaluateToWah(const BitmapSource& source, EvalAlgorithm algorithm,
                            CompareOp op, int64_t v, EngineKind engine,
                            EvalStats* stats = nullptr);
-
-/// Derives the kAuto keep-compressed break-even ratio from the op-timing
-/// samples the engine has accumulated (the first few hundred compressed and
-/// dense binary ops are timed into the wah_engine.{compressed,plain}_op_ns
-/// histograms and per-byte throughput accumulators).  A compressed op costs
-/// time proportional to the operand's WAH size, a dense op to its dense
-/// size, so an operand should stay compressed while
-///   wah_bytes / dense_bytes  <=  dense_ns_per_byte / compressed_ns_per_byte
-/// and that right-hand side — clamped to [1/32, 1/2] — is the installed
-/// ratio.  With fewer than kMinCalibrationOps samples on either side the
-/// built-in 1/4 stays in effect.  Publishes the effective ratio (permille)
-/// to the wah_engine.calibrated_ratio gauge and returns it as a fraction.
-///
-/// Called at index open (StoredIndex::Open/Write, and lazily on engine
-/// construction once enough samples exist); safe to call concurrently with
-/// running queries — the ratio is a single relaxed atomic the engines read
-/// per fetched operand.
-double CalibrateAutoBreakEven();
-
-/// Test hook: drops all timing samples and any installed calibrated ratio,
-/// returning kAuto to the built-in 1/4 fallback.
-void ResetAutoCalibrationForTest();
 
 }  // namespace bix::exec
 

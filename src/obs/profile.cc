@@ -55,8 +55,6 @@ const char* ToShortString(ProfCounter c) {
     case ProfCounter::kNotOps: return "not";
     case ProfCounter::kWahCompressedOps: return "wah_c";
     case ProfCounter::kWahPlainOps: return "wah_p";
-    case ProfCounter::kHeapEvents: return "heap";
-    case ProfCounter::kDenseFallbacks: return "fallback";
     case ProfCounter::kNumCounters: break;
   }
   return "?";

@@ -49,8 +49,6 @@ enum class ProfCounter : int {
   kNotOps,           // eval.not_ops
   kWahCompressedOps, // wah_engine.compressed_ops
   kWahPlainOps,      // wah_engine.plain_ops
-  kHeapEvents,       // wah_engine.heap_events
-  kDenseFallbacks,   // wah_engine.dense_fallbacks
   kNumCounters,
 };
 

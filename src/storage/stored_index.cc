@@ -15,7 +15,6 @@
 #include "core/check.h"
 #include "core/eval.h"
 #include "exec/segmented_eval.h"
-#include "exec/wah_engine.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -600,13 +599,6 @@ Status StoredIndex::Open(const std::filesystem::path& dir,
   index->dir_ = dir;
   Status s = index->LoadMeta(dir);
   if (!s.ok()) return s;
-  // Index open is the natural calibration point for the auto engine's
-  // keep-compressed break-even: by the time a second index opens, earlier
-  // queries have usually filled the op-timing sample windows, and the
-  // derived ratio replaces the built-in fallback for everything that
-  // follows.  (Write() funnels through Open(), so fresh indexes hit this
-  // too.)
-  exec::CalibrateAutoBreakEven();
   *out = std::move(index);
   return Status::OK();
 }

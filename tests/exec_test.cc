@@ -18,7 +18,6 @@
 #include "core/eval.h"
 #include "exec/segmented_eval.h"
 #include "exec/thread_pool.h"
-#include "exec/wah_engine.h"
 #include "obs/metrics.h"
 #include "workload/queries.h"
 
@@ -272,122 +271,89 @@ TEST(SegmentedEvalTest, TrivialResultsNeedNoInstructions) {
 }
 
 // ---------------------------------------------------------------------------
-// kAuto break-even calibration (exec/wah_engine.cc)
+// kAuto keep rule (exec/wah_engine.cc)
 
-int64_t CalibratedRatioPermille() {
-  return obs::MetricsRegistry::Global()
-      .GetGauge("wah_engine.calibrated_ratio")
-      .value();
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
 }
 
-// A clustered column (long same-value runs) whose bitmaps compress to a few
-// fills, and a noisy one whose bitmaps do not compress at all.
-BitmapIndex ClusteredIndex(size_t n) {
-  std::vector<uint32_t> values(n);
-  for (size_t i = 0; i < n; ++i) {
-    values[i] = static_cast<uint32_t>(i / (n / 9 + 1));
-  }
-  return BitmapIndex::Build(values, 9, BaseSequence::FromMsbFirst({3, 3}),
-                            Encoding::kEquality);
-}
-BitmapIndex NoisyIndex(size_t n, uint64_t seed) {
-  return BitmapIndex::Build(MakeColumn(9, n, false, seed), 9,
-                            BaseSequence::FromMsbFirst({3, 3}),
-                            Encoding::kEquality);
-}
+// The wah_engine.* deltas one kAuto `A = v` query causes.
+struct EngineDeltas {
+  int64_t compressed_ops = 0;
+  int64_t plain_ops = 0;
+  int64_t inflated_operands = 0;
+  bool operator==(const EngineDeltas&) const = default;
+};
 
-// Runs every equality-encoded selection query against `source` under the
-// given engine, feeding the op-timing sample windows.
-void RunCalibrationWorkload(const BitmapSource& source, EngineKind engine,
-                            int rounds) {
-  const ExecOptions options{.engine = engine};
-  for (int r = 0; r < rounds; ++r) {
-    for (CompareOp op : kAllCompareOps) {
-      for (int64_t v = 0; v <= 9; ++v) {
-        EvaluatePredicate(source, EvalAlgorithm::kEqualityEval, op, v,
-                          options);
-      }
-    }
-  }
+EngineDeltas RunAutoEquality(const BitmapSource& source, int64_t v) {
+  const int64_t c0 = CounterValue("wah_engine.compressed_ops");
+  const int64_t p0 = CounterValue("wah_engine.plain_ops");
+  const int64_t i0 = CounterValue("wah_engine.inflated_operands");
+  Bitvector got = EvaluatePredicate(source, EvalAlgorithm::kEqualityEval,
+                                    CompareOp::kEq, v,
+                                    ExecOptions{.engine = EngineKind::kAuto});
+  EXPECT_EQ(got, EvaluatePredicate(source, EvalAlgorithm::kEqualityEval,
+                                   CompareOp::kEq, v))
+      << "v=" << v;
+  return {CounterValue("wah_engine.compressed_ops") - c0,
+          CounterValue("wah_engine.plain_ops") - p0,
+          CounterValue("wah_engine.inflated_operands") - i0};
 }
 
-TEST(WahCalibrationTest, FallbackRatioBeforeAnySamples) {
-  exec::ResetAutoCalibrationForTest();
-  // With empty sample windows the built-in 1/4 stays in effect, and the
-  // gauge publishes it so dashboards can tell fallback from measured.
-  EXPECT_DOUBLE_EQ(exec::CalibrateAutoBreakEven(), 0.25);
-  EXPECT_EQ(CalibratedRatioPermille(), 250);
-  exec::ResetAutoCalibrationForTest();
-  EXPECT_EQ(CalibratedRatioPermille(), 0);
-}
-
-TEST(WahCalibrationTest, DerivedRatioStaysWithinClamps) {
-  exec::ResetAutoCalibrationForTest();
-  BitmapIndex clustered = ClusteredIndex(6000);
-  BitmapIndex noisy = NoisyIndex(6000, 20260810);
-  WahCompressedSource clustered_wah(clustered);
-  WahCompressedSource noisy_wah(noisy);
-  // kWah on the clustered source times compressed ops; kAuto on the noisy
-  // source inflates every operand (its WAH form is near dense size, far
-  // above the 1/4 fallback) and times dense ops.
-  RunCalibrationWorkload(clustered_wah, EngineKind::kWah, 3);
-  RunCalibrationWorkload(noisy_wah, EngineKind::kAuto, 3);
-
-  const double ratio = exec::CalibrateAutoBreakEven();
-  const int64_t permille = CalibratedRatioPermille();
-  // The implementation works in integer permille, clamped to
-  // [1000/32, 1000/2] = [31, 500].
-  EXPECT_GE(permille, 1000 / 32);
-  EXPECT_LE(permille, 1000 / 2);
-  EXPECT_DOUBLE_EQ(ratio, static_cast<double>(permille) / 1000.0);
-
-  // Calibration must not change any result: the auto engine still agrees
-  // with the plain path bit-for-bit on both sources.
-  for (const BitmapSource* s :
-       {static_cast<const BitmapSource*>(&clustered_wah),
-        static_cast<const BitmapSource*>(&noisy_wah)}) {
-    for (int64_t v = 0; v <= 9; ++v) {
-      Bitvector expected = EvaluatePredicate(
-          *s, EvalAlgorithm::kEqualityEval, CompareOp::kLe, v);
-      Bitvector got =
-          EvaluatePredicate(*s, EvalAlgorithm::kEqualityEval, CompareOp::kLe,
-                            v, ExecOptions{.engine = EngineKind::kAuto});
-      ASSERT_EQ(got, expected) << "v=" << v;
-    }
-  }
-  exec::ResetAutoCalibrationForTest();
-}
-
-// TSan target (scripts/check.sh --tsan runs *Segmented*): the calibrated
-// ratio is read per fetched operand on whatever thread runs the engine
-// while samples and re-derivations land concurrently — all of it must be
-// data-race-free.
-TEST(WahCalibrationTest, SegmentedConcurrentCalibrationIsRaceFree) {
-  exec::ResetAutoCalibrationForTest();
-  BitmapIndex index = NoisyIndex(3000, 20260811);
+// kAuto keeps an operand compressed iff its WAH form is at most 1/32 of its
+// dense form, whatever ran before in the process: hundreds of timed
+// compressed and dense operations must not move the decision.
+TEST(WahAutoKeepRuleTest, DecisionDoesNotDependOnHistory) {
+  // Value 1 sits in one row of every 16th 31-bit group and value 2 in one
+  // row of every 128th; every other row holds 0 and none is NULL, so B_nn
+  // is a single ones fill and `A = v` is Fetch(B_v) AND B_nn.
+  constexpr size_t kGroups = 4096;
+  std::vector<uint32_t> values(31 * kGroups, 0);
+  for (size_t g = 0; g < kGroups; g += 16) values[31 * g + 5] = 1;
+  for (size_t g = 8; g < kGroups; g += 128) values[31 * g + 17] = 2;
+  BitmapIndex index = BitmapIndex::Build(
+      values, 3, BaseSequence::FromMsbFirst({3}), Encoding::kEquality);
   WahCompressedSource source(index);
-  Bitvector expected =
-      EvaluatePredicate(index, EvalAlgorithm::kEqualityEval, CompareOp::kGe, 4);
 
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
-      const ExecOptions options{.engine = EngineKind::kAuto};
-      for (int i = 0; i < 30; ++i) {
-        Bitvector got = EvaluatePredicate(
-            source, EvalAlgorithm::kEqualityEval, CompareOp::kGe, 4, options);
-        if (!(got == expected)) mismatch.store(true);
-      }
-    });
+  const double dense_bytes = static_cast<double>((values.size() + 63) / 64 * 8);
+  auto wah_fraction = [&](uint32_t slot) {
+    return static_cast<double>(
+               WahBitvector::FromBitvector(index.Fetch(0, slot, nullptr))
+                   .SizeInBytes()) /
+           dense_bytes;
+  };
+  ASSERT_GT(wah_fraction(1), 0.05);
+  ASSERT_LT(wah_fraction(1), 0.20);
+  ASSERT_LE(wah_fraction(2), 0.03);
+
+  // B_1 (~13% of dense) is inflated and its AND runs on dense words; B_2
+  // (~1.6%) stays compressed and so does its AND.
+  const EngineDeltas mid = RunAutoEquality(source, 1);
+  const EngineDeltas sparse = RunAutoEquality(source, 2);
+  EXPECT_GT(mid.inflated_operands, 0);
+  EXPECT_EQ(mid.compressed_ops, 0);
+  EXPECT_EQ(sparse.inflated_operands, 0);
+  EXPECT_EQ(sparse.plain_ops, 0);
+  EXPECT_GT(sparse.compressed_ops, 0);
+
+  // More than 512 compressed and 512 dense binary operations: B_2's AND on
+  // `source`, and the AND of a noisy index's bitmaps, whose WAH form is no
+  // smaller than dense, on `noisy`.
+  BitmapIndex noisy_index =
+      BitmapIndex::Build(MakeColumn(3, values.size(), false, 20261018), 3,
+                         BaseSequence::FromMsbFirst({3}), Encoding::kEquality);
+  WahCompressedSource noisy(noisy_index);
+  const int64_t c0 = CounterValue("wah_engine.compressed_ops");
+  const int64_t p0 = CounterValue("wah_engine.plain_ops");
+  for (int i = 0; i < 600; ++i) {
+    RunAutoEquality(noisy, 0);
+    RunAutoEquality(source, 2);
   }
-  threads.emplace_back([&] {
-    for (int i = 0; i < 50; ++i) exec::CalibrateAutoBreakEven();
-  });
-  for (std::thread& t : threads) t.join();
-  EXPECT_FALSE(mismatch.load());
-  EXPECT_GT(CalibratedRatioPermille(), 0);
-  exec::ResetAutoCalibrationForTest();
+  ASSERT_GE(CounterValue("wah_engine.compressed_ops") - c0, 600);
+  ASSERT_GE(CounterValue("wah_engine.plain_ops") - p0, 600);
+
+  EXPECT_EQ(RunAutoEquality(source, 1), mid);
+  EXPECT_EQ(RunAutoEquality(source, 2), sparse);
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
-// Strategy-matrix harness for the k-ary WAH merge kernels: every merge
-// strategy (adaptive / heap / legacy / dense) must produce bit-identical,
-// canonically-encoded results on adversarial inputs — uniform noise that
-// defeats compression, large k, alternating literal/fill runs placed at the
-// 31/32/63/64 bit seams, and all-fill operands — and the counting forms
-// must agree with the materialized popcounts.  Also pins down the contract
-// edges: k == 1 short-circuits to a copy, the empty span dies, the heap
-// strategy accounts its run events, and the adaptive strategy's dense
-// fallback actually fires on incompressible inputs.
+// Harness for the k-ary WAH folds (bitmap/wah_kernels.h): the dense fold
+// and the WAH-returning forms must match the dense OR/AND reference on
+// adversarial inputs — uniform noise that defeats compression, large k,
+// alternating literal/fill runs placed at the 31/32/63/64 bit seams,
+// all-fill operands, zero-length operands and long sparse bitmaps — and the
+// WAH results must be canonically encoded.  Also pins down the contract
+// edges: k == 1 short-circuits to a copy and the empty span dies.
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,36 +18,15 @@
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 #include "bitmap/wah_kernels.h"
-#include "obs/metrics.h"
 
 namespace bix {
 namespace {
 
-const WahMergeStrategy kAllStrategies[] = {
-    WahMergeStrategy::kAdaptive, WahMergeStrategy::kHeap,
-    WahMergeStrategy::kLegacy, WahMergeStrategy::kDense};
-
-// Restores the process-wide strategy on scope exit so tests compose.
-class ScopedStrategy {
- public:
-  explicit ScopedStrategy(WahMergeStrategy s) : saved_(GetWahMergeStrategy()) {
-    SetWahMergeStrategy(s);
-  }
-  ~ScopedStrategy() { SetWahMergeStrategy(saved_); }
-
- private:
-  WahMergeStrategy saved_;
-};
-
-int64_t HeapEvents() {
-  return obs::MetricsRegistry::Global()
-      .GetCounter("wah_engine.heap_events")
-      .value();
-}
-int64_t DenseFallbacks() {
-  return obs::MetricsRegistry::Global()
-      .GetCounter("wah_engine.dense_fallbacks")
-      .value();
+std::vector<const WahBitvector*> Pointers(const std::vector<WahBitvector>& v) {
+  std::vector<const WahBitvector*> out;
+  out.reserve(v.size());
+  for (const WahBitvector& w : v) out.push_back(&w);
+  return out;
 }
 
 // Uniform noise: every 31-bit group is a literal in every operand, the
@@ -82,8 +61,8 @@ Bitvector SeamPattern(std::mt19937_64& rng, size_t bits) {
   return out;
 }
 
-void ExpectAllStrategiesAgree(const std::vector<Bitvector>& dense,
-                              const std::string& ctx) {
+void ExpectFoldsMatchReference(const std::vector<Bitvector>& dense,
+                               const std::string& ctx) {
   std::vector<WahBitvector> wah;
   wah.reserve(dense.size());
   for (const Bitvector& d : dense) {
@@ -95,36 +74,28 @@ void ExpectAllStrategiesAgree(const std::vector<Bitvector>& dense,
     ref_or.OrWith(d);
     ref_and.AndWith(d);
   }
-  const WahBitvector canon_or = WahBitvector::FromBitvector(ref_or);
-  const WahBitvector canon_and = WahBitvector::FromBitvector(ref_and);
 
-  for (WahMergeStrategy s : kAllStrategies) {
-    ScopedStrategy scoped(s);
-    const std::string sctx = ctx + " strategy=" + ToString(s);
-    WahBitvector got_or = OrOfMany(wah);
-    WahBitvector got_and = AndOfMany(wah);
-    // Code-word equality, not just bit equality: every strategy must emit
-    // the canonical encoding.
-    ASSERT_TRUE(got_or == canon_or) << sctx;
-    ASSERT_TRUE(got_and == canon_and) << sctx;
-    ASSERT_EQ(CountOrOfMany(wah), ref_or.Count()) << sctx;
-    ASSERT_EQ(CountAndOfMany(wah), ref_and.Count()) << sctx;
-
-    // The adaptive entry points must agree with themselves regardless of
-    // which representation the merge ended in.
-    ASSERT_TRUE(OrOfManyAdaptive(wah).IntoDense() == ref_or) << sctx;
-    ASSERT_TRUE(AndOfManyAdaptive(wah).IntoDense() == ref_and) << sctx;
-  }
+  const std::vector<const WahBitvector*> ptrs = Pointers(wah);
+  ASSERT_TRUE(DenseOrOfMany(ptrs) == ref_or) << ctx;
+  ASSERT_TRUE(DenseAndOfMany(ptrs) == ref_and) << ctx;
+  WahBitvector got_or = OrOfMany(wah);
+  WahBitvector got_and = AndOfMany(wah);
+  // Code-word equality, not just bit equality: the WAH forms must emit the
+  // canonical encoding.
+  ASSERT_TRUE(got_or == WahBitvector::FromBitvector(ref_or)) << ctx;
+  ASSERT_TRUE(got_and == WahBitvector::FromBitvector(ref_and)) << ctx;
+  ASSERT_EQ(got_or.Count(), ref_or.Count()) << ctx;
+  ASSERT_EQ(got_and.Count(), ref_and.Count()) << ctx;
 }
 
-TEST(WahMergeTest, UniformNoiseAllStrategiesAgree) {
+TEST(WahMergeTest, UniformNoiseMatchesDenseReference) {
   std::mt19937_64 rng(20260805);
   for (size_t k : {2u, 3u, 8u, 16u}) {
     for (size_t bits : {64u, 993u, 4096u}) {
       std::vector<Bitvector> dense;
       for (size_t i = 0; i < k; ++i) dense.push_back(Noise(rng, bits));
-      ExpectAllStrategiesAgree(dense, "noise k=" + std::to_string(k) +
-                                          " bits=" + std::to_string(bits));
+      ExpectFoldsMatchReference(dense, "noise k=" + std::to_string(k) +
+                                           " bits=" + std::to_string(bits));
     }
   }
 }
@@ -135,14 +106,14 @@ TEST(WahMergeTest, SeamPatternsLargeK) {
     for (size_t bits : {31u, 32u, 63u, 64u, 65u, 2048u}) {
       std::vector<Bitvector> dense;
       for (size_t i = 0; i < k; ++i) dense.push_back(SeamPattern(rng, bits));
-      ExpectAllStrategiesAgree(dense, "seam k=" + std::to_string(k) +
-                                          " bits=" + std::to_string(bits));
+      ExpectFoldsMatchReference(dense, "seam k=" + std::to_string(k) +
+                                           " bits=" + std::to_string(bits));
     }
   }
 }
 
-// All-fill operands exercise the dominant-stretch and all-non-dominant-fill
-// branches with no literal groups at all; include a partial tail group.
+// All-fill operands exercise the dominant- and identity-fill paths with no
+// literal groups at all; include a partial tail group.
 TEST(WahMergeTest, AllFillOperands) {
   for (size_t bits : {31u, 62u, 93u, 100u, 1023u}) {
     for (int mix = 0; mix < 4; ++mix) {
@@ -150,8 +121,8 @@ TEST(WahMergeTest, AllFillOperands) {
       dense.emplace_back(bits, (mix & 1) != 0);
       dense.emplace_back(bits, (mix & 2) != 0);
       dense.emplace_back(bits, false);
-      ExpectAllStrategiesAgree(dense, "fills bits=" + std::to_string(bits) +
-                                          " mix=" + std::to_string(mix));
+      ExpectFoldsMatchReference(dense, "fills bits=" + std::to_string(bits) +
+                                           " mix=" + std::to_string(mix));
     }
   }
 }
@@ -160,90 +131,42 @@ TEST(WahMergeTest, AllFillOperands) {
 // that violates the contract.
 TEST(WahMergeTest, ZeroLengthOperands) {
   std::vector<Bitvector> dense(3, Bitvector(0));
-  ExpectAllStrategiesAgree(dense, "zero-length");
+  ExpectFoldsMatchReference(dense, "zero-length");
 }
 
 TEST(WahMergeTest, SingleOperandShortCircuitsToCopy) {
   std::mt19937_64 rng(20260807);
   Bitvector d = SeamPattern(rng, 777);
   std::vector<WahBitvector> one = {WahBitvector::FromBitvector(d)};
-  for (WahMergeStrategy s : kAllStrategies) {
-    ScopedStrategy scoped(s);
-    const int64_t events_before = HeapEvents();
-    EXPECT_TRUE(OrOfMany(one) == one[0]) << ToString(s);
-    EXPECT_TRUE(AndOfMany(one) == one[0]) << ToString(s);
-    EXPECT_EQ(CountOrOfMany(one), d.Count()) << ToString(s);
-    EXPECT_EQ(CountAndOfMany(one), d.Count()) << ToString(s);
-    // A copy is a copy: no decode happens, so no run events are charged.
-    EXPECT_EQ(HeapEvents(), events_before) << ToString(s);
-  }
+  EXPECT_TRUE(OrOfMany(one) == one[0]);
+  EXPECT_TRUE(AndOfMany(one) == one[0]);
+  const std::vector<const WahBitvector*> ptrs = Pointers(one);
+  EXPECT_TRUE(DenseOrOfMany(ptrs) == d);
+  EXPECT_TRUE(DenseAndOfMany(ptrs) == d);
 }
 
 TEST(WahMergeDeathTest, EmptySpanDies) {
   std::vector<WahBitvector> none;
+  std::vector<const WahBitvector*> no_ptrs;
   EXPECT_DEATH(OrOfMany(none), "empty");
   EXPECT_DEATH(AndOfMany(none), "empty");
-  EXPECT_DEATH(CountOrOfMany(none), "empty");
-  EXPECT_DEATH(OrOfManyAdaptive(none), "empty");
+  EXPECT_DEATH(DenseOrOfMany(no_ptrs), "empty");
+  EXPECT_DEATH(DenseAndOfMany(no_ptrs), "empty");
 }
 
-TEST(WahMergeTest, HeapStrategyAccountsRunEvents) {
-  std::mt19937_64 rng(20260808);
-  std::vector<Bitvector> dense;
-  for (int i = 0; i < 4; ++i) dense.push_back(SeamPattern(rng, 4000));
-  std::vector<WahBitvector> wah;
-  for (const Bitvector& d : dense) {
-    wah.push_back(WahBitvector::FromBitvector(d));
-  }
-  ScopedStrategy scoped(WahMergeStrategy::kHeap);
-  const int64_t before = HeapEvents();
-  OrOfMany(wah);
-  EXPECT_GT(HeapEvents(), before);
-}
-
-// Incompressible operands push the events-per-group ratio over the
-// threshold once the probe window fills; the adaptive merge must abandon
-// the compressed domain (observable via wah_engine.dense_fallbacks) and
-// still produce the exact result.  The pure heap strategy must not fall
-// back on the same input.
-TEST(WahMergeTest, AdaptiveFallsBackOnNoise) {
+// Incompressible operands long enough that every operand is thousands of
+// literal groups.
+TEST(WahMergeTest, LargeNoiseMatchesDenseReference) {
   std::mt19937_64 rng(20260809);
   const size_t kBits = 31 * 3000;  // ~3000 literal groups per operand
-  const size_t kK = 8;
   std::vector<Bitvector> dense;
-  std::vector<WahBitvector> wah;
-  for (size_t i = 0; i < kK; ++i) {
-    dense.push_back(Noise(rng, kBits));
-    wah.push_back(WahBitvector::FromBitvector(dense.back()));
-  }
-  Bitvector ref_or(kBits);
-  for (const Bitvector& d : dense) ref_or.OrWith(d);
-
-  {
-    ScopedStrategy scoped(WahMergeStrategy::kAdaptive);
-    const int64_t before = DenseFallbacks();
-    WahMergeOutput out = OrOfManyAdaptive(wah);
-    EXPECT_GT(DenseFallbacks(), before);
-    EXPECT_TRUE(out.dense_fallback);
-    ASSERT_TRUE(std::move(out).IntoDense() == ref_or);
-    // The WAH-result entry point re-compresses the fallback's dense
-    // accumulator and must land on the canonical encoding.
-    EXPECT_TRUE(OrOfMany(wah) == WahBitvector::FromBitvector(ref_or));
-  }
-  {
-    ScopedStrategy scoped(WahMergeStrategy::kHeap);
-    const int64_t before = DenseFallbacks();
-    WahMergeOutput out = OrOfManyAdaptive(wah);
-    EXPECT_EQ(DenseFallbacks(), before);
-    EXPECT_FALSE(out.dense_fallback);
-    ASSERT_TRUE(std::move(out).IntoDense() == ref_or);
-  }
+  for (size_t i = 0; i < 8; ++i) dense.push_back(Noise(rng, kBits));
+  ExpectFoldsMatchReference(dense, "large noise");
 }
 
-// Highly compressible operands must stay in the compressed domain under
-// kAdaptive even when they are long — the fallback is for event *density*,
-// not length.
-TEST(WahMergeTest, AdaptiveStaysCompressedOnSparse) {
+// Long, highly compressible operands: a few literals between fills that
+// span many accumulator words.
+TEST(WahMergeTest, LongSparseMatchesDenseReference) {
   const size_t kBits = 31 * 100000;
   std::vector<Bitvector> dense;
   for (int i = 0; i < 8; ++i) {
@@ -254,18 +177,7 @@ TEST(WahMergeTest, AdaptiveStaysCompressedOnSparse) {
     }
     dense.push_back(std::move(d));
   }
-  std::vector<WahBitvector> wah;
-  for (const Bitvector& d : dense) {
-    wah.push_back(WahBitvector::FromBitvector(d));
-  }
-  ScopedStrategy scoped(WahMergeStrategy::kAdaptive);
-  const int64_t before = DenseFallbacks();
-  WahMergeOutput out = OrOfManyAdaptive(wah);
-  EXPECT_EQ(DenseFallbacks(), before);
-  EXPECT_FALSE(out.dense_fallback);
-  Bitvector ref(kBits);
-  for (const Bitvector& d : dense) ref.OrWith(d);
-  ASSERT_TRUE(std::move(out).IntoWah() == WahBitvector::FromBitvector(ref));
+  ExpectFoldsMatchReference(dense, "long sparse");
 }
 
 }  // namespace
