@@ -356,5 +356,107 @@ TEST(WahAutoKeepRuleTest, DecisionDoesNotDependOnHistory) {
   EXPECT_EQ(RunAutoEquality(source, 2), sparse);
 }
 
+// The rule's edge: an operand whose WAH form is exactly 1/32 of its dense
+// form stays compressed, and one code word more inflates it.
+TEST(WahAutoKeepRuleTest, KeepsAtExactlyOneThirtySecond) {
+  // 4096 31-bit groups are 126976 rows, 1984 dense words or 15872 bytes, so
+  // the rule keeps at most 124 WAH words.  Value 1 sits in group 0 and every
+  // 64th group after it: 62 literals, 61 fills between them and a trailing
+  // fill make 124 words.  Value 2 sits 32 groups further into each stride,
+  // which adds a leading fill: 125 words.
+  constexpr size_t kGroups = 4096;
+  std::vector<uint32_t> values(31 * kGroups, 0);
+  for (size_t j = 0; j < 62; ++j) {
+    values[31 * (64 * j) + 3] = 1;
+    values[31 * (64 * j + 32) + 11] = 2;
+  }
+  BitmapIndex index = BitmapIndex::Build(
+      values, 3, BaseSequence::FromMsbFirst({3}), Encoding::kEquality);
+  WahCompressedSource source(index);
+
+  ASSERT_EQ(values.size() % 64, 0u);
+  const size_t dense_bytes = values.size() / 64 * 8;
+  auto wah_bytes = [&](uint32_t slot) {
+    return WahBitvector::FromBitvector(index.Fetch(0, slot, nullptr))
+        .SizeInBytes();
+  };
+  ASSERT_EQ(wah_bytes(1) * 32, dense_bytes);
+  ASSERT_EQ(wah_bytes(2), wah_bytes(1) + sizeof(uint32_t));
+
+  const EngineDeltas at_edge = RunAutoEquality(source, 1);
+  EXPECT_EQ(at_edge.inflated_operands, 0);
+  EXPECT_EQ(at_edge.plain_ops, 0);
+  EXPECT_GT(at_edge.compressed_ops, 0);
+  const EngineDeltas past_edge = RunAutoEquality(source, 2);
+  EXPECT_GT(past_edge.inflated_operands, 0);
+  EXPECT_EQ(past_edge.compressed_ops, 0);
+}
+
+// Whichever way the rule decides, kAuto returns the plain path's result:
+// every operator and constant over a clustered column, whose bitmaps
+// compress to a few fills and stay compressed, and a noisy one, whose
+// bitmaps do not compress and are inflated, in both encodings.
+TEST(WahAutoKeepRuleTest, MatchesPlainOnClusteredAndNoisySources) {
+  constexpr size_t kRows = 6000;
+  std::vector<uint32_t> clustered(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    clustered[i] = static_cast<uint32_t>(i / (kRows / 9 + 1));
+  }
+  const std::vector<uint32_t> noisy = MakeColumn(9, kRows, true, 20261019);
+
+  const int64_t c0 = CounterValue("wah_engine.compressed_ops");
+  const int64_t i0 = CounterValue("wah_engine.inflated_operands");
+  const std::vector<uint32_t>* const columns[] = {&clustered, &noisy};
+  for (const std::vector<uint32_t>* values : columns) {
+    for (Encoding enc : {Encoding::kEquality, Encoding::kRange}) {
+      BitmapIndex index = BitmapIndex::Build(
+          *values, 9, BaseSequence::FromMsbFirst({3, 3}), enc);
+      WahCompressedSource source(index);
+      for (const Query& q : QueriesFor(9)) {
+        Bitvector expected =
+            EvaluatePredicate(index, EvalAlgorithm::kAuto, q.op, q.v);
+        Bitvector got =
+            EvaluatePredicate(source, EvalAlgorithm::kAuto, q.op, q.v,
+                              ExecOptions{.engine = EngineKind::kAuto});
+        ASSERT_EQ(got, expected)
+            << (values == &clustered ? "clustered" : "noisy")
+            << " enc=" << ToString(enc) << " op=" << ToString(q.op)
+            << " v=" << q.v;
+      }
+    }
+  }
+  EXPECT_GT(CounterValue("wah_engine.compressed_ops") - c0, 0);
+  EXPECT_GT(CounterValue("wah_engine.inflated_operands") - i0, 0);
+}
+
+// TSan target (scripts/check.sh --tsan runs *Segmented*): kAuto queries on
+// one shared compressed source from several threads at once, each query
+// itself segmented over two lanes, must agree with the sequential result
+// and be data-race-free (the rule reads no shared mutable state).
+TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
+  BitmapIndex index = BitmapIndex::Build(
+      MakeColumn(9, 3000, true, 20261020), 9,
+      BaseSequence::FromMsbFirst({3, 3}), Encoding::kEquality);
+  WahCompressedSource source(index);
+  const Bitvector expected =
+      EvaluatePredicate(index, EvalAlgorithm::kEqualityEval, CompareOp::kGe, 4);
+
+  std::atomic<bool> mismatch{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      const ExecOptions options{.num_threads = 2,
+                                .engine = EngineKind::kAuto};
+      for (int i = 0; i < 30; ++i) {
+        Bitvector got = EvaluatePredicate(
+            source, EvalAlgorithm::kEqualityEval, CompareOp::kGe, 4, options);
+        if (!(got == expected)) mismatch.store(true);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(mismatch.load());
+}
+
 }  // namespace
 }  // namespace bix

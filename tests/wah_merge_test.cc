@@ -180,5 +180,33 @@ TEST(WahMergeTest, LongSparseMatchesDenseReference) {
   ExpectFoldsMatchReference(dense, "long sparse");
 }
 
+// Folds over operands of different shapes — incompressible noise, seam
+// patterns, all-ones and all-zeros fills and a sparse bitmap — so literal
+// groups of one operand meet dominant and identity fills of the others in
+// the same accumulator words.  Every subset of two or more shapes is folded,
+// forwards and reversed.
+TEST(WahMergeTest, MixedShapeOperandsMatchDenseReference) {
+  std::mt19937_64 rng(20261018);
+  for (size_t bits : {31u, 64u, 993u, 31u * 200 + 17}) {
+    Bitvector sparse(bits);
+    for (size_t bit = 7; bit < bits; bit += 151) sparse.Set(bit);
+    const std::vector<Bitvector> shapes = {
+        Noise(rng, bits), SeamPattern(rng, bits), Bitvector(bits, true),
+        Bitvector(bits), std::move(sparse)};
+    for (unsigned mask = 0; mask < (1u << shapes.size()); ++mask) {
+      std::vector<Bitvector> dense;
+      for (size_t i = 0; i < shapes.size(); ++i) {
+        if ((mask >> i) & 1) dense.push_back(shapes[i]);
+      }
+      if (dense.size() < 2) continue;
+      const std::string ctx =
+          "mixed bits=" + std::to_string(bits) + " mask=" + std::to_string(mask);
+      ExpectFoldsMatchReference(dense, ctx);
+      std::reverse(dense.begin(), dense.end());
+      ExpectFoldsMatchReference(dense, ctx + " reversed");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bix
