@@ -1,14 +1,15 @@
-// Wall-clock scaling of the segmented parallel evaluation engine
-// (exec/segmented_eval.h) on a large range query, versus the sequential
-// evaluator.  Engineering companion to the paper's CPU-time discussion: the
-// engine reassociates the same word operations, so scans/ops stay exactly
-// the closed-form counts while the wall clock divides across threads.
+// Wall-clock scaling of dense record-and-replay evaluation across lanes
+// (exec/segmented_eval.h) on a large range query.  Engineering companion to
+// the paper's CPU-time discussion: lanes reassociate the same word
+// operations, so scans/ops stay exactly the closed-form counts while the
+// wall clock divides across threads.
 //
-// Every parallel result is verified bit-identical to the sequential one and
-// every EvalStats delta equal — the bench aborts on any divergence, so a
+// Every lane count's result is verified against the scan oracle, its scans
+// against the cost model's closed form (ModelScans), and its EvalStats
+// against the one-lane run's: the bench aborts on any divergence, so a
 // passing run doubles as a large-N correctness check.  Speedups are
-// hardware-dependent (a single-core host reports ~1x throughout); the
-// verification must hold everywhere.
+// relative to one lane and hardware-dependent (a single-core host reports
+// ~1x throughout); the verification must hold everywhere.
 //
 // Usage: bench_parallel_scaling [--smoke] [OUT.json]
 //   --smoke   1M rows instead of 10M (registered with ctest)
@@ -22,9 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "baseline/scan.h"
 #include "bench_json.h"
 #include "core/advisor.h"
 #include "core/bitmap_index.h"
+#include "core/cost_model.h"
 #include "core/eval.h"
 #include "exec/segmented_eval.h"
 #include "workload/generators.h"
@@ -63,7 +66,6 @@ int main(int argc, char** argv) {
   const size_t n = smoke ? 1000000 : 10000000;
   const int reps = smoke ? 3 : 5;
   const uint32_t c = 1000;
-  const uint32_t segment_bits = 16;  // 64 Kbit (8 KB) segments
   const BaseSequence base = KneeBase(c);
   const CompareOp op = CompareOp::kLe;
   const int64_t v = c / 2;
@@ -76,44 +78,31 @@ int main(int argc, char** argv) {
   std::vector<uint32_t> column = GenerateUniform(n, c, 7);
   BitmapIndex index = BitmapIndex::Build(column, c, base, Encoding::kRange);
 
-  // Sequential baseline: full-length passes through core/eval.cc.
-  Bitvector expected;
-  EvalStats seq_stats;
-  std::vector<double> seq_samples;
-  for (int r = 0; r < reps; ++r) {
-    EvalStats stats;
-    Bitvector got;
-    seq_samples.push_back(TimeMs([&] {
-      got = EvaluatePredicate(index, EvalAlgorithm::kRangeEvalOpt, op, v,
-                              &stats);
-    }));
-    expected = std::move(got);
-    seq_stats = stats;
-  }
-  const double seq_ms = MedianMs(seq_samples);
+  const Bitvector expected = ScanEvaluate(column, op, v);
+  const int64_t model_scans = ModelScans(base, c, Encoding::kRange,
+                                         EvalAlgorithm::kRangeEvalOpt, op, v);
 
   std::printf("%10s | %12s %10s | %s\n", "threads", "ms/query", "speedup",
               "verified");
-  std::printf("%10s | %12.2f %10s | %s\n", "seq", seq_ms, "1.00x",
-              "baseline");
 
   bench::BenchJsonWriter json;
-  std::vector<bench::BenchParam> base_params = {
-      {"rows", n}, {"cardinality", static_cast<int64_t>(c)},
-      {"segment_bits", static_cast<int64_t>(segment_bits)},
-      {"smoke", static_cast<int64_t>(smoke ? 1 : 0)}};
   auto params_with_threads = [&](int threads) {
-    std::vector<bench::BenchParam> p = base_params;
-    p.emplace_back("threads", static_cast<int64_t>(threads));
-    return p;
+    return std::vector<bench::BenchParam>{
+        {"rows", n},
+        {"cardinality", static_cast<int64_t>(c)},
+        {"smoke", static_cast<int64_t>(smoke ? 1 : 0)},
+        {"threads", static_cast<int64_t>(threads)}};
   };
-  json.Add("parallel_scaling", params_with_threads(0), "latency_ms", seq_ms,
-           "ms");
 
+  // Untimed warm-up, so the first lane count timed does not also pay the
+  // first touch of the index and the allocator.
+  EvaluatePredicate(index, EvalAlgorithm::kRangeEvalOpt, op, v);
+
+  double one_lane_ms = 0;
+  EvalStats one_lane_stats;
   for (int threads : {1, 2, 4, 8}) {
     ExecOptions options;
     options.num_threads = threads;
-    options.segment_bits = segment_bits;
     std::vector<double> samples;
     bool identical = true;
     bool stats_equal = true;
@@ -124,14 +113,17 @@ int main(int argc, char** argv) {
         got = EvaluatePredicate(index, EvalAlgorithm::kRangeEvalOpt, op, v,
                                 options, &stats);
       }));
+      if (threads == 1 && r == 0) one_lane_stats = stats;
       identical = identical && got == expected;
-      stats_equal = stats_equal && stats == seq_stats;
+      stats_equal = stats_equal && stats == one_lane_stats &&
+                    stats.bitmap_scans == model_scans;
     }
     const double ms = MedianMs(samples);
-    const double speedup = ms > 0 ? seq_ms / ms : 0;
+    if (threads == 1) one_lane_ms = ms;
+    const double speedup = ms > 0 ? one_lane_ms / ms : 0;
     std::printf("%10d | %12.2f %9.2fx | %s\n", threads, ms, speedup,
                 identical && stats_equal
-                    ? "bit-identical, stats equal"
+                    ? "matches scan oracle, stats equal"
                     : (identical ? "STATS DRIFT" : "RESULT MISMATCH"));
     if (!identical || !stats_equal) {
       std::fprintf(stderr, "bench_parallel_scaling: verification FAILED at "

@@ -39,8 +39,9 @@ esac
 if [[ "$RUN_DIFF" == 1 ]]; then
   # Fast lane for engine work: the seeded differential/property harness and
   # the WAH codec fuzz tests (label "differential", tests/CMakeLists.txt)
-  # cross-check the plain, segmented, and compressed-domain engines for bit
-  # equality and EvalStats parity in a few hundred milliseconds.
+  # cross-check the plain engine on one lane and on three and the
+  # compressed-domain engines for bit equality and EvalStats parity in a
+  # few seconds.
   cmake -B build -G Ninja
   cmake --build build --target bix_differential_tests
   ctest --test-dir build -L differential --output-on-failure
@@ -217,10 +218,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
-  # ThreadSanitizer pass over the concurrency surface: the thread pool, the
-  # segmented executor, and the parallel planner merge.  The full suite is
-  # ~10x slower under TSan, so only the tests that actually spawn threads
-  # run here.
+  # ThreadSanitizer pass over the concurrency surface: the thread pool,
+  # multi-lane record and replay and concurrent queries on one source (the
+  # *Segmented* tests), and the serve layer.  The full suite is ~10x slower
+  # under TSan, so only the tests that actually spawn threads run here.
   cmake -B build-tsan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
@@ -228,9 +229,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
       bench_parallel_scaling
   ./build-tsan/tests/bix_tests \
       --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:OperandCache*:Serve*'
-  # Parallel P3 probes under the compressed engines: concurrent kAuto and
-  # kWah evaluation on pool threads over shared sources and the
-  # process-wide wah_engine.* counters.
+  # P3 on every engine with num_threads = 3.  Its probes run one after
+  # another, and its 4000-row tables fit one replay segment, so lanes clamp
+  # to one: this checks that the lane setting stays race-free where it does
+  # not apply, beside the process-wide wah_engine.* counters.
   ./build-tsan/tests/bix_differential_tests \
       --gtest_filter='PlannerEngineDifferential*'
   ./build-tsan/bench/bench_parallel_scaling --smoke \

@@ -121,11 +121,9 @@ class Bitvector {
   /// Aborts if `bytes` is shorter than ceil(num_bits/8).
   static Bitvector FromBytes(std::span<const uint8_t> bytes, size_t num_bits);
 
-  /// Fused k-ary kernels (bitmap/bitvector_kernels.cc).  Each makes a single
-  /// blocked pass over the operands instead of materializing pairwise
-  /// temporaries; all operands must have equal length and `operands` must be
-  /// non-empty for the k-ary forms.
-  static Bitvector OrOfMany(std::span<const Bitvector* const> operands);
+  /// Fused k-ary AND (bitmap/bitvector_kernels.cc): a single blocked pass
+  /// over the operands instead of materializing pairwise temporaries.  All
+  /// operands must have equal length and `operands` must be non-empty.
   static Bitvector AndOfMany(std::span<const Bitvector* const> operands);
 
   /// Popcount of a two-operand combination without materializing the result.
@@ -133,18 +131,12 @@ class Bitvector {
   static size_t CountOr(const Bitvector& a, const Bitvector& b);
   static size_t AndNotCount(const Bitvector& a, const Bitvector& b);  // |a&~b|
 
-  /// Popcount of the k-ary combination: folds block-at-a-time into an
-  /// 8 KiB L1-resident window and popcounts each block before moving on,
-  /// never materializing the full-length combination.
-  static size_t CountOrOfMany(std::span<const Bitvector* const> operands);
-  static size_t CountAndOfMany(std::span<const Bitvector* const> operands);
-
   /// Raw word access (for benchmarks and serialization internals).  The bits
   /// past `size()` in the last word are always zero.
   std::span<const uint64_t> words() const { return words_; }
 
-  /// Mutable word access for the segmented executor (exec/segmented_eval.cc),
-  /// which writes results segment-at-a-time.  Callers must keep the tail
+  /// Mutable word access for record and replay (core/eval.cc), which writes
+  /// results segment-at-a-time.  Callers must keep the tail
   /// invariant: bits past `size()` in the last word stay zero.
   std::span<uint64_t> mutable_words() { return words_; }
 

@@ -1,17 +1,13 @@
-// Fused multi-operand kernels over the dense bitvector substrate.
+// The fused k-ary AND over the dense bitvector substrate.
 //
-// The evaluation algorithms and the selection planner both reduce to folds
-// over k equal-length bitmaps (the OR-side of EqualityEval, the conjunction
-// of per-attribute foundsets).  Folding pairwise materializes k-1 full-length
-// temporaries and streams the accumulator through memory k-1 times; the
-// kernels here instead make one blocked pass, keeping an 8 KB accumulator
-// window L1-resident while the k operand streams are each read once.  The
-// counting forms go further and never materialize the combination at all —
-// they reduce straight to a popcount.
+// The selection planner's P3 conjoins its per-attribute foundsets.  Folding
+// pairwise would stream the accumulator through memory k-1 times; the
+// kernel instead makes one blocked pass, keeping an 8 KB accumulator window
+// L1-resident while the k operand streams are each read once.
 //
-// The kernels are declared as static members of Bitvector (they need word
-// access); this header adds the value-span conveniences used by callers that
-// hold `std::vector<Bitvector>` rather than pointer arrays.
+// The kernel is declared as a static member of Bitvector (it needs word
+// access); this header adds the value-span convenience for callers that
+// hold `std::vector<Bitvector>` rather than a pointer array.
 
 #ifndef BIX_BITMAP_BITVECTOR_KERNELS_H_
 #define BIX_BITMAP_BITVECTOR_KERNELS_H_
@@ -22,8 +18,7 @@
 
 namespace bix {
 
-/// OR / AND of `operands` (non-empty, equal lengths) in one blocked pass.
-Bitvector OrOfMany(std::span<const Bitvector> operands);
+/// AND of `operands` (non-empty, equal lengths) in one blocked pass.
 Bitvector AndOfMany(std::span<const Bitvector> operands);
 
 }  // namespace bix

@@ -8,23 +8,23 @@
 
 namespace bix {
 
-namespace {
-
 EvalAlgorithm ResolveAlgorithm(Encoding encoding, EvalAlgorithm algorithm) {
   if (algorithm == EvalAlgorithm::kAuto) {
     return encoding == Encoding::kRange ? EvalAlgorithm::kRangeEvalOpt
                                         : EvalAlgorithm::kEqualityEval;
   }
-  if (encoding == Encoding::kRange) {
-    BIX_CHECK(algorithm == EvalAlgorithm::kRangeEval ||
-              algorithm == EvalAlgorithm::kRangeEvalOpt);
-  } else {
-    BIX_CHECK(algorithm == EvalAlgorithm::kEqualityEval);
-  }
+  const bool range_algorithm = algorithm == EvalAlgorithm::kRangeEval ||
+                               algorithm == EvalAlgorithm::kRangeEvalOpt;
+  BIX_CHECK_MSG(range_algorithm == (encoding == Encoding::kRange),
+                range_algorithm
+                    ? "RangeEval requires a range-encoded index"
+                    : "EqualityEval requires an equality-encoded index");
   return algorithm;
 }
 
-// --- Per-digit scan costs, mirroring core/eval.cc exactly. ---------------
+namespace {
+
+// --- Per-digit scan costs, mirroring core/eval_algorithms.h exactly. -----
 
 // RangeEval fetches B^{v_i-1} and/or B^{v_i}: 1 scan at the digit extremes,
 // 2 in the middle; identical for all six operators.

@@ -18,7 +18,7 @@
 //      equality encoding: per-digit expectations of EqualityEval (see .cc).
 //  * Exact expectations computed by enumerating digit distributions over
 //    [0, C) — O(sum b_i) per base sequence, no bitmaps materialized.  These
-//    mirror the instrumented implementations in core/eval.cc bit for bit
+//    mirror the instrumented algorithms (core/eval_algorithms.h) bit for bit
 //    (verified by property tests).
 
 #ifndef BIX_CORE_COST_MODEL_H_
@@ -30,6 +30,11 @@
 #include "core/predicate.h"
 
 namespace bix {
+
+/// The algorithm that runs for `algorithm` over an index of `encoding`:
+/// kAuto picks RangeEvalOpt for range encoding and EqualityEval for equality
+/// encoding.  Aborts if an explicit algorithm does not match the encoding.
+EvalAlgorithm ResolveAlgorithm(Encoding encoding, EvalAlgorithm algorithm);
 
 /// Space(I): number of stored bitmaps.  Range: sum(b_i - 1).  Equality:
 /// sum(b_i) with base-2 components storing a single bitmap (Theorem 5.1).
@@ -60,7 +65,7 @@ double AnalyticTimeForMix(const BaseSequence& base, Encoding encoding,
                           EvalAlgorithm algorithm = EvalAlgorithm::kAuto);
 
 /// Exact expected scans over the 6C queries of Q for attribute
-/// cardinality C.  Mirrors the instrumented algorithms in core/eval.cc.
+/// cardinality C.  Mirrors the instrumented algorithms.
 double ExactTime(const BaseSequence& base, uint32_t cardinality,
                  Encoding encoding,
                  EvalAlgorithm algorithm = EvalAlgorithm::kAuto);

@@ -37,6 +37,9 @@
 #define BIX_CORE_EVAL_H_
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <vector>
 
 #include "bitmap/bitvector.h"
 #include "core/bitmap_source.h"
@@ -60,27 +63,24 @@ enum class EngineKind : uint8_t { kPlain, kWah, kAuto };
 const char* ToString(EngineKind kind);
 
 /// Execution knobs for the evaluation engines (exec/segmented_eval.h
-/// implements the overload of EvaluatePredicate that takes these; the plain
-/// overload below is always sequential).  `num_threads` is the total number
-/// of concurrent lanes (1 = sequential segment loop, no pool).
-/// `segment_bits` is log2 of the bits per segment; the default 16 gives 8 KB
-/// spans so a segment's whole operator chain runs in L1/L2.  `engine`
-/// selects the operator substrate; the compressed-domain engines are
-/// single-threaded (runs, not segments, are their unit of work), so
-/// `engine != kPlain` ignores the two segmentation knobs.  Results are
-/// bit-identical to sequential evaluation and EvalStats counts are
-/// unchanged: segmentation and compressed execution reassociate the work,
+/// implements the overload of EvaluatePredicate that takes these).
+/// `num_threads` is the number of lanes that replay one dense evaluation's
+/// segments (1 = the calling thread alone, no pool).  `engine` selects the
+/// operator substrate; the compressed-domain engines are single-threaded
+/// (runs, not segments, are their unit of work), so `engine != kPlain`
+/// ignores `num_threads`.  Results are bit-identical and EvalStats equal
+/// under every setting: lanes and compressed execution reassociate the work,
 /// they never reorder the algorithm.
 struct ExecOptions {
   int num_threads = 1;
-  uint32_t segment_bits = 16;
   EngineKind engine = EngineKind::kPlain;
 };
 
 /// Evaluates `A op v` over `source` with the given algorithm (kAuto picks
 /// RangeEvalOpt or EqualityEval by the source's encoding).  Aborts if the
 /// algorithm does not match the encoding.  `v` may be any integer; values
-/// outside [0, C) yield the trivial result.
+/// outside [0, C) yield the trivial result.  Runs on the calling thread by
+/// record and replay (below).
 Bitvector EvaluatePredicate(const BitmapSource& source,
                             EvalAlgorithm algorithm, CompareOp op, int64_t v,
                             EvalStats* stats = nullptr);
@@ -93,13 +93,94 @@ Bitvector RangeEvalOpt(const BitmapSource& source, CompareOp op, int64_t v,
 Bitvector EqualityEval(const BitmapSource& source, CompareOp op, int64_t v,
                        EvalStats* stats = nullptr);
 
+// ---------------------------------------------------------------------------
+// Record and replay: how every dense evaluation runs.
+//
+// Realizing each bitmap operation as a full-length pass would stream 2N/8
+// bytes through memory per operation.  Instead the algorithm is run once
+// against a recording engine that captures its operation DAG into a small
+// register program (no full-length work), and the program is then replayed
+// segment-at-a-time: each 2^kSegmentBits-bit span of every operand runs the
+// whole operator chain while it is L1/L2-resident.  The algorithm's control
+// flow, fetch order and operation counts are those of the shared templates
+// (core/eval_algorithms.h), so EvalStats and the cost-model audit hold
+// exactly.  Recording costs one Fetch per scan: sources that can expose
+// their storage (BitmapIndex) hand back zero-copy views via FetchView();
+// others are fetched once into owned staging bitmaps.
+
+/// log2 of the bits per replay segment: 8 KB spans, so one segment of every
+/// register a program uses stays cache-resident.
+inline constexpr uint32_t kSegmentBits = 16;
+
+/// One instruction of a recorded evaluation program.  Register operands are
+/// scratch-slot indexes after finalization; `src_is_input` marks `src` as an
+/// index into EvalProgram::inputs instead.
+struct EvalInstr {
+  enum class Op : uint8_t {
+    kLoad,   // dst = inputs[src]
+    kZeros,  // dst = all-zero
+    kOnes,   // dst = all-one (tail-masked)
+    kMov,    // dst = register src
+    kAnd,    // dst &= operand
+    kOr,     // dst |= operand
+    kXor,    // dst ^= operand
+    kNot,    // dst = ~dst (tail-masked)
+  };
+  Op op;
+  int32_t dst = -1;
+  int32_t src = -1;
+  bool src_is_input = false;
+};
+
+/// A recorded evaluation: the fetched operand bitmaps plus the finalized
+/// (dead-code-eliminated, register-allocated) instruction list.  Valid while
+/// the source it was recorded from is alive and unmodified.
+struct EvalProgram {
+  size_t num_bits = 0;
+  std::vector<const Bitvector*> inputs;  // one entry per recorded operand
+  std::deque<Bitvector> owned_inputs;    // staging for non-view sources
+  std::vector<EvalInstr> instrs;
+  int32_t result_reg = -1;    // scratch slot holding the result, or
+  int32_t result_input = -1;  // input returned untouched (trivial results)
+  int32_t num_regs = 0;       // scratch slots per lane after finalization
+};
+
+/// Records `A op v` over `source` into a program without executing any
+/// full-length bitmap work.  Scans and operations are counted into `stats`
+/// exactly as evaluation counts them.  kAuto resolves as in
+/// EvaluatePredicate.
+EvalProgram RecordEvalProgram(const BitmapSource& source,
+                              EvalAlgorithm algorithm, CompareOp op, int64_t v,
+                              EvalStats* stats = nullptr);
+
+/// Runs `segment(index, lane)` once for every index in [0, num_segments),
+/// each call on one of the lanes 0 .. lanes-1.
+using SegmentScheduler = std::function<void(
+    size_t num_segments, int lanes,
+    const std::function<void(size_t index, int lane)>& segment)>;
+
+/// Replays a recorded program segment-at-a-time and returns its result.
+/// Replaying charges no stats and may be repeated.  `lanes` (clamped to the
+/// segment count) is how many segments may run at once; with more than one,
+/// `schedule` spreads them across the lanes.  Without a `schedule`, or on
+/// one lane, the segments run in order on the calling thread.
+Bitvector ReplayProgram(const EvalProgram& program, int lanes = 1,
+                        const SegmentScheduler& schedule = {});
+
 namespace eval_internal {
 
 /// Folds one evaluation's stats delta and latency into the process-wide
-/// metrics registry (a handful of relaxed atomic adds per query).  Shared by
-/// the sequential entry point above and the segmented one in exec/ so both
-/// feed the same eval.* metrics.
+/// metrics registry (a handful of relaxed atomic adds per query).  Shared
+/// with the compressed-domain engine (exec/wah_engine.cc) so every engine
+/// feeds the same eval.* metrics.
 void RecordQueryMetrics(const EvalStats& delta, int64_t latency_ns);
+
+/// The dense evaluation behind both EvaluatePredicate overloads: record,
+/// then replay on `lanes` lanes (see ReplayProgram), inside the one eval.*
+/// trace/profile/metrics envelope.
+Bitvector EvaluateDense(const BitmapSource& source, EvalAlgorithm algorithm,
+                        CompareOp op, int64_t v, int lanes,
+                        const SegmentScheduler& schedule, EvalStats* stats);
 
 }  // namespace eval_internal
 

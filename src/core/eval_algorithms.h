@@ -1,16 +1,16 @@
 // The paper's evaluation algorithms, parameterized over an execution engine.
 //
-// core/eval.cc documents the three algorithms (RangeEval, RangeEvalOpt,
+// core/eval.h documents the three algorithms (RangeEval, RangeEvalOpt,
 // EqualityEval).  This header holds their bodies as templates over an
 // `Engine` so the same control flow — and therefore the same bitmap-scan and
 // bitmap-operation counts the cost-model audit (obs/audit.h) predicts — can
 // drive two very different backends:
 //
-//  * the sequential dense engine in core/eval.cc, which performs each
-//    operation immediately on full-length Bitvectors, and
-//  * the recording engine in exec/segmented_eval.cc, which captures the
+//  * the dense recording engine in core/eval.cc, which captures the
 //    operation DAG into a small program that is then replayed
-//    segment-at-a-time across a thread pool.
+//    segment-at-a-time (on one lane, or across a thread pool), and
+//  * the compressed-domain engine in exec/wah_engine.cc, which runs each
+//    operation on WAH code words or dense words, chosen per operand.
 //
 // An Engine provides:
 //   using Vec = ...;              // default-constructible, copyable, movable,
@@ -23,8 +23,8 @@
 //
 // Operation counting stays in the shared template code (OpCounter below), so
 // both engines report identical EvalStats by construction.  OrMany lets the
-// dense engine fuse EqualityEval's OR-sides into one blocked pass
-// (Bitvector::OrOfMany); OrManyCounted charges the same `k-1` OR operations
+// compressed engine stitch EqualityEval's OR-sides into one accumulator
+// (bitmap/wah_kernels.h); OrManyCounted charges the same `k-1` OR operations
 // the pairwise fold would, keeping the audit exact.
 
 #ifndef BIX_CORE_EVAL_ALGORITHMS_H_
@@ -47,7 +47,7 @@ namespace bix::eval_detail {
 // Counts logical bitmap operations into an optional EvalStats, attributes
 // them to the live profiler span, and emits an instant trace event per
 // operation when tracing is on (each disabled path is one relaxed atomic
-// load per operation).  All three engines count through here, so EvalStats,
+// load per operation).  Both engines count through here, so EvalStats,
 // the registry, and the profile agree by construction.
 struct OpCounter {
   EvalStats* stats;
@@ -325,8 +325,8 @@ typename Engine::Vec EqualityEvalImpl(Engine& eng, CompareOp op, int64_t v) {
     // the opposite side is used (the complement side reuses the already
     // fetched EQ bitmap), so a component costs 1 + min(d, b-1-d) scans.
     // The OR accumulations collect their operands and go through the
-    // engine's k-ary OrMany (fused on the dense backend), charged as the
-    // same k-1 pairwise ORs by OrManyCounted.
+    // engine's k-ary OrMany (fused on the compressed backend), charged as
+    // the same k-1 pairwise ORs by OrManyCounted.
     int64_t w = v;
     if (op == CompareOp::kLt || op == CompareOp::kGe) --w;
     negate = (op == CompareOp::kGt || op == CompareOp::kGe);

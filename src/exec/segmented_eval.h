@@ -1,34 +1,17 @@
-// Segmented parallel predicate evaluation.
+// The EvaluatePredicate overload that takes ExecOptions.
 //
-// The sequential engine (core/eval.cc) realizes every bitmap operation as a
-// full-length pass: for an N-bit index each of the k operations streams
-// 2N/8 bytes through memory, so a query touches the whole index k+1 times.
-// This engine instead *records* the algorithm's operation DAG into a small
-// register program (one recording pass over the algorithm, zero full-length
-// work), then replays that program segment-at-a-time: each 2^segment_bits-bit
-// span of every operand runs the full operator chain while it is L1/L2
-// resident, and independent segments execute in parallel on a fixed-size
-// thread pool (exec/thread_pool.h).
-//
-// This is a pure *reassociation* of the same word-level operations — the
-// algorithm's control flow, its fetch order, and its operation counts are
-// untouched (the recording engine runs the very same templates in
-// core/eval_algorithms.h that the sequential engine runs, and the structural
-// audit of obs/audit.h holds bit-for-bit).  Results are therefore
-// bit-identical to sequential evaluation and EvalStats deltas are equal by
-// construction; only the wall clock changes.
-//
-// Recording costs one virtual Fetch per scan.  Sources that can expose their
-// storage (BitmapIndex) hand back zero-copy views via FetchView(); others
-// (disk- or buffer-backed) are fetched once into owned staging bitmaps, so
-// the storage layer still sees exactly one Fetch per scan.
+// It dispatches on `options.engine`: kWah and kAuto run the
+// compressed-domain engine (exec/wah_engine.h); kPlain runs core's record
+// and replay (core/eval.h) with its segments spread across
+// `options.num_threads` lanes of the shared thread pool
+// (exec/thread_pool.h).  Segments are independent spans of the same
+// operator chain, so lanes reassociate the work without reordering the
+// algorithm: results are bit-identical to one lane and EvalStats are equal.
 
 #ifndef BIX_EXEC_SEGMENTED_EVAL_H_
 #define BIX_EXEC_SEGMENTED_EVAL_H_
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "bitmap/bitvector.h"
 #include "core/bitmap_source.h"
@@ -36,62 +19,11 @@
 #include "core/eval_stats.h"
 #include "core/predicate.h"
 
-namespace bix::exec {
-
-/// One instruction of a recorded evaluation program.  Register operands are
-/// scratch-slot indexes after finalization; `src_is_input` marks `src` as an
-/// index into EvalProgram::inputs instead.
-struct EvalInstr {
-  enum class Op : uint8_t {
-    kLoad,   // dst = inputs[src]
-    kZeros,  // dst = all-zero
-    kOnes,   // dst = all-one (tail-masked)
-    kMov,    // dst = register src
-    kAnd,    // dst &= operand
-    kOr,     // dst |= operand
-    kXor,    // dst ^= operand
-    kNot,    // dst = ~dst (tail-masked)
-  };
-  Op op;
-  int32_t dst = -1;
-  int32_t src = -1;
-  bool src_is_input = false;
-};
-
-/// A recorded evaluation: the fetched operand bitmaps plus the finalized
-/// (dead-code-eliminated, register-allocated) instruction list.  Valid while
-/// the source it was recorded from is alive and unmodified.
-struct EvalProgram {
-  size_t num_bits = 0;
-  std::vector<const Bitvector*> inputs;  // one entry per recorded operand
-  std::deque<Bitvector> owned_inputs;    // staging for non-view sources
-  std::vector<EvalInstr> instrs;
-  int32_t result_reg = -1;    // scratch slot holding the result, or
-  int32_t result_input = -1;  // input returned untouched (trivial results)
-  int32_t num_regs = 0;       // scratch slots per lane after finalization
-};
-
-/// Records `A op v` over `source` into a program without executing any
-/// full-length bitmap work.  Scans and operations are counted into `stats`
-/// exactly as the sequential algorithms count them.  kAuto resolves as in
-/// core/eval.h.
-EvalProgram RecordEvalProgram(const BitmapSource& source,
-                              EvalAlgorithm algorithm, CompareOp op, int64_t v,
-                              EvalStats* stats = nullptr);
-
-/// Replays a recorded program segment-at-a-time with `options.num_threads`
-/// lanes (1 = inline loop, no pool).  Records per-segment timing and the
-/// exec.parallel_speedup gauge in the metrics registry.
-Bitvector ExecuteProgram(const EvalProgram& program,
-                         const ExecOptions& options);
-
-}  // namespace bix::exec
-
 namespace bix {
 
-/// Segmented parallel counterpart of core/eval.h's EvaluatePredicate:
-/// bit-identical result, identical EvalStats, same eval.* metrics envelope,
-/// lower wall clock.
+/// core/eval.h's EvaluatePredicate on the engine and lane count `options`
+/// name: bit-identical result, identical EvalStats, same eval.* metrics
+/// envelope.  Multi-lane runs set the exec.parallel_speedup gauge.
 Bitvector EvaluatePredicate(const BitmapSource& source,
                             EvalAlgorithm algorithm, CompareOp op, int64_t v,
                             const ExecOptions& options,

@@ -6,7 +6,7 @@
 // nothing to steal.  One ParallelFor runs at a time (submissions serialize);
 // the calling thread participates in the work rather than idling, so a
 // `max_workers == 0` call degrades gracefully to an inline loop and a pool
-// is never required for the sequential path.
+// is never required for a one-lane run.
 //
 // Exception policy: a throwing task does not cancel its siblings — every
 // task is always attempted exactly once (deterministic side effects) — and
@@ -88,7 +88,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Process-wide pool shared by the segmented executor and the planner,
+/// Process-wide pool shared by multi-lane replay and the serve layer,
 /// resized upward on demand (never shrunk).  Growing replaces the pool, so
 /// the returned reference is valid only until a later call asks for more
 /// workers — use it immediately rather than caching it.  Growing while

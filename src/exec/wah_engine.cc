@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "bitmap/bitvector_kernels.h"
 #include "bitmap/wah_kernels.h"
 #include "core/check.h"
+#include "core/cost_model.h"
 #include "core/eval_algorithms.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -68,6 +68,7 @@ class WahVec {
 
   bool is_wah() const { return repr_ == Repr::kWah; }
   const WahBitvector& wah() const { return wah_; }
+  const Bitvector& dense() const { return dense_; }
 
   void AndWith(const WahVec& o) { Binary(o, Op::kAnd); }
   void OrWith(const WahVec& o) { Binary(o, Op::kOr); }
@@ -215,27 +216,32 @@ class WahEngine {
   Vec OrMany(std::vector<Vec> operands) {
     BIX_CHECK(!operands.empty());
     if (operands.size() == 1) return std::move(operands[0]);
-    bool all_wah = true;
-    for (const Vec& o : operands) all_wah = all_wah && o.is_wah();
-    const int64_t fused_ops = static_cast<int64_t>(operands.size()) - 1;
+    // Every compressed operand's code words are stitched into one dense
+    // accumulator without inflating it; dense operands are ORed in word by
+    // word.  The ops count as compressed only when no operand was dense.
     // Either way the result stays dense (kWah callers re-compress in
     // IntoWah at the very end).
-    if (all_wah) {
-      // Every operand's code words are stitched into one accumulator
-      // without inflating any operand, so the ops count as compressed.
-      std::vector<const WahBitvector*> ptrs;
-      ptrs.reserve(operands.size());
-      for (const Vec& o : operands) ptrs.push_back(&o.wah());
+    std::vector<const WahBitvector*> wah;
+    std::vector<const Bitvector*> dense;
+    for (const Vec& o : operands) {
+      if (o.is_wah()) {
+        wah.push_back(&o.wah());
+      } else {
+        dense.push_back(&o.dense());
+      }
+    }
+    const int64_t fused_ops = static_cast<int64_t>(operands.size()) - 1;
+    if (dense.empty()) {
       CompressedOps().Increment(fused_ops);
       obs::ProfCount(obs::ProfCounter::kWahCompressedOps, fused_ops);
-      return WahVec::Dense(DenseOrOfMany(ptrs));
+      return WahVec::Dense(DenseOrOfMany(wah));
     }
-    std::vector<Bitvector> dense;
-    dense.reserve(operands.size());
-    for (Vec& o : operands) dense.push_back(std::move(o).IntoDense());
+    Bitvector acc = wah.empty() ? *dense.back() : DenseOrOfMany(wah);
+    if (wah.empty()) dense.pop_back();
+    for (const Bitvector* d : dense) acc.OrWith(*d);
     PlainOps().Increment(fused_ops);
     obs::ProfCount(obs::ProfCounter::kWahPlainOps, fused_ops);
-    return WahVec::Dense(OrOfMany(dense));
+    return WahVec::Dense(std::move(acc));
   }
 
  private:
@@ -270,17 +276,12 @@ WahVec RunAlgorithm(const BitmapSource& source, EvalAlgorithm algorithm,
   return WahVec();
 }
 
-// Shared trace/metrics envelope, mirroring the sequential entry point in
-// core/eval.cc; `finish` turns the engine's result into the caller's form.
+// Shared trace/metrics envelope, mirroring the dense one in core/eval.cc; `finish` turns the engine's result into the caller's form.
 template <typename Finish>
 auto Evaluate(const BitmapSource& source, EvalAlgorithm algorithm,
               CompareOp op, int64_t v, EngineKind engine, EvalStats* stats,
               Finish finish) {
-  if (algorithm == EvalAlgorithm::kAuto) {
-    algorithm = source.encoding() == Encoding::kRange
-                    ? EvalAlgorithm::kRangeEvalOpt
-                    : EvalAlgorithm::kEqualityEval;
-  }
+  algorithm = ResolveAlgorithm(source.encoding(), algorithm);
   EvalStats local;
   EvalStats* s = stats != nullptr ? stats : &local;
   const EvalStats before = *s;

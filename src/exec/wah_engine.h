@@ -1,12 +1,13 @@
 // Compressed-domain execution engine over WAH bitvectors.
 //
-// The third backend for the shared algorithm templates in
-// core/eval_algorithms.h, next to the sequential dense engine (core/eval.cc)
-// and the segmented recording engine (exec/segmented_eval.cc).  Operands are
-// fetched through BitmapSource::FetchWah and stay WAH-compressed: each
-// binary AND/OR/XOR and NOT runs run-at-a-time on the code words.
-// EqualityEval's k-ary OR-sides stitch every operand's code words into one
-// dense accumulator (bitmap/wah_kernels.h) and keep going on dense words.
+// The second backend for the shared algorithm templates in
+// core/eval_algorithms.h, next to the dense recording engine whose programs
+// core/eval.cc replays segment-at-a-time.  Operands are fetched through
+// BitmapSource::FetchWah and stay WAH-compressed: each binary AND/OR/XOR
+// and NOT runs run-at-a-time on the code words.
+// EqualityEval's k-ary OR-sides stitch every compressed operand's code words
+// into one dense accumulator (bitmap/wah_kernels.h), OR any dense operands
+// into it, and keep going on dense words.
 //
 // EngineKind::kWah keeps every fetched operand compressed unconditionally;
 // EngineKind::kAuto keeps one compressed iff its WAH form is at most 1/32
@@ -14,7 +15,7 @@
 // run on dense words.  The rule depends on the operand alone: no timing, no
 // process-wide state.  Mixed compressed/dense operations densify on demand.
 //
-// Results are bit-identical to the other engines and EvalStats are equal by
+// Results are bit-identical to the dense engine and EvalStats are equal by
 // construction: the templates count operations (OpCounter) and both FetchWah
 // and Fetch count the same one bitmap scan.  The wah_engine.* metrics record
 // how many operations actually ran compressed vs on dense words.
@@ -35,7 +36,7 @@ namespace bix::exec {
 
 /// Evaluates `A op v` on the compressed substrate (`engine` must be kWah or
 /// kAuto) with the same trace/metrics envelope as the other entry points.
-/// Bit-identical to the sequential dense path, including EvalStats.
+/// Bit-identical to the dense path, including EvalStats.
 Bitvector EvaluatePredicateCompressed(const BitmapSource& source,
                                       EvalAlgorithm algorithm, CompareOp op,
                                       int64_t v, EngineKind engine,

@@ -78,10 +78,7 @@ AuditReport AuditSource(const BitmapSource& source, EvalAlgorithm algorithm) {
   const uint32_t c = source.cardinality();
   const BaseSequence& base = source.base();
   const Encoding encoding = source.encoding();
-  if (algorithm == EvalAlgorithm::kAuto) {
-    algorithm = encoding == Encoding::kRange ? EvalAlgorithm::kRangeEvalOpt
-                                             : EvalAlgorithm::kEqualityEval;
-  }
+  algorithm = ResolveAlgorithm(encoding, algorithm);
   int64_t total_logical_fetches = 0;
   for (CompareOp op : kAllCompareOps) {
     for (uint32_t v = 0; v < c; ++v) {

@@ -17,7 +17,7 @@
 //    exactly to their parent by construction.
 //  * Worker threads inherit the submitting span: the thread pool captures
 //    CurrentHandle() at batch submission and wraps each drain in a
-//    ProfAdopt, so segmented-engine and planner work attributes into the
+//    ProfAdopt, so replay segments run on pool lanes attribute into the
 //    owning query's node instead of vanishing.
 //
 // Cost discipline mirrors the tracer: disabled, every ProfCount and

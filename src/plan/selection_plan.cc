@@ -10,8 +10,7 @@
 #include "bitmap/bitvector_kernels.h"
 #include "core/check.h"
 #include "core/cost_model.h"
-#include "exec/thread_pool.h"
-#include "exec/wah_engine.h"
+#include "exec/segmented_eval.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -129,17 +128,14 @@ PlanEstimate SelectionPlanner::Choose(const ConjunctiveQuery& query) const {
   return EnumeratePlans(query).front();
 }
 
-Bitvector SelectionPlanner::IndexProbe(const Predicate& pred, EngineKind engine,
+Bitvector SelectionPlanner::IndexProbe(const Predicate& pred,
+                                       const ExecOptions& exec,
                                        ExecutionResult* result) const {
   const BitmapIndex* bitmap = table_.bitmap_index(pred.attribute);
   if (bitmap != nullptr) {
     EvalStats stats;
-    Bitvector found =
-        engine == EngineKind::kPlain
-            ? bitmap->Evaluate(pred.op, pred.v, &stats)
-            : exec::EvaluatePredicateCompressed(*bitmap, EvalAlgorithm::kAuto,
-                                                pred.op, pred.v, engine,
-                                                &stats);
+    Bitvector found = EvaluatePredicate(*bitmap, EvalAlgorithm::kAuto,
+                                        pred.op, pred.v, exec, &stats);
     result->bitmap_scans += stats.bitmap_scans;
     result->bytes_read += stats.bitmap_scans * BitmapBytes(table_.num_rows());
     return found;
@@ -187,7 +183,7 @@ ExecutionResult SelectionPlanner::ExecuteIndexFilter(
     }
   }
   BIX_CHECK_MSG(driver_pred != nullptr, "P2 driver not in the query");
-  Bitvector candidates = IndexProbe(*driver_pred, EngineKind::kPlain, &result);
+  Bitvector candidates = IndexProbe(*driver_pred, ExecOptions{}, &result);
 
   result.foundset = Bitvector(table_.num_rows());
   candidates.ForEachSetBit([&](size_t r) {
@@ -207,34 +203,16 @@ ExecutionResult SelectionPlanner::ExecuteIndexFilter(
 
 ExecutionResult SelectionPlanner::ExecuteIndexMerge(
     const ConjunctiveQuery& query) const {
-  // P3's per-attribute probes are independent, so they can run concurrently;
-  // each probe charges its own ExecutionResult and the costs are summed
-  // afterwards, keeping the accounting identical to sequential execution.
-  std::vector<Bitvector> foundsets(query.size());
-  std::vector<ExecutionResult> partials(query.size());
-  const int lanes = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(std::max(1, exec_options_.num_threads)),
-      query.size()));
-  auto probe = [&](size_t i, int /*lane*/) {
+  ExecutionResult result;
+  std::vector<Bitvector> foundsets;
+  foundsets.reserve(query.size());
+  for (const Predicate& pred : query) {
     std::string prof_name;
     if (obs::Profiler::enabled()) {
-      prof_name = "probe a" + std::to_string(query[i].attribute);
+      prof_name = "probe a" + std::to_string(pred.attribute);
     }
     obs::ProfSpan prof_span("plan", prof_name);
-    foundsets[i] = IndexProbe(query[i], exec_options_.engine, &partials[i]);
-  };
-  if (lanes <= 1) {
-    for (size_t i = 0; i < query.size(); ++i) probe(i, 0);
-  } else {
-    exec::SharedPool(lanes - 1).ParallelFor(query.size(), lanes - 1, probe);
-  }
-
-  ExecutionResult result;
-  for (const ExecutionResult& partial : partials) {
-    result.bytes_read += partial.bytes_read;
-    result.bitmap_scans += partial.bitmap_scans;
-    result.rids_read += partial.rids_read;
-    result.tuples_read += partial.tuples_read;
+    foundsets.push_back(IndexProbe(pred, exec_options_, &result));
   }
   // Conjunction via the fused k-ary AND: one blocked pass over all
   // foundsets instead of a pairwise fold.

@@ -91,13 +91,13 @@ class SelectionPlanner {
  public:
   explicit SelectionPlanner(const Table& table) : table_(table) {}
 
-  /// Execution knobs.  With num_threads > 1, P3 probes its independent
-  /// per-attribute predicates concurrently on the shared pool; the probed
-  /// foundsets are always combined with the fused k-ary AND kernel
-  /// (Bitvector::AndOfMany).  With engine != kPlain, P3's bitmap probes run
-  /// on the compressed substrate (exec/wah_engine.h) and hand back dense
-  /// foundsets; RID probes are dense either way.  Foundsets and cost
-  /// accounting are identical to sequential plain execution in every case.
+  /// Execution knobs for P3's bitmap probes, which run one after another,
+  /// each on the engine and lane count these name (exec/segmented_eval.h);
+  /// the probed foundsets are combined with the fused k-ary AND kernel
+  /// (Bitvector::AndOfMany).  Compressed engines hand back dense foundsets,
+  /// and RID probes are dense either way.  P2 always probes with the
+  /// defaults.  Foundsets and cost accounting are identical to default
+  /// execution in every case.
   void set_exec_options(const ExecOptions& options) { exec_options_ = options; }
   const ExecOptions& exec_options() const { return exec_options_; }
 
@@ -125,8 +125,8 @@ class SelectionPlanner {
 
   // Evaluates one predicate through the attribute's index (bitmap
   // preferred, RID fallback), charging bytes into `result`.  Bitmap probes
-  // run on `engine`; identical bits and cost accounting on every engine.
-  Bitvector IndexProbe(const Predicate& pred, EngineKind engine,
+  // run as `exec` says; identical bits and cost accounting either way.
+  Bitvector IndexProbe(const Predicate& pred, const ExecOptions& exec,
                        ExecutionResult* result) const;
 
   const Table& table_;

@@ -825,9 +825,8 @@ Bitvector MutableStoredIndex::Evaluate(EvalAlgorithm algorithm, CompareOp op,
       MakeQuerySource(snapshot, s, decompress_seconds);
   Bitvector result;
   if (source->status().ok()) {
-    result = exec != nullptr
-                 ? EvaluatePredicate(*source, algorithm, op, v, *exec, s)
-                 : EvaluatePredicate(*source, algorithm, op, v, s);
+    result = EvaluatePredicate(*source, algorithm, op, v,
+                               exec != nullptr ? *exec : ExecOptions{}, s);
     const std::vector<uint32_t>& perm = snapshot->base->row_order();
     if (!perm.empty()) result = RemapToLogical(result, perm);
   }

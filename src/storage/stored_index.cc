@@ -768,9 +768,8 @@ Bitvector StoredIndex::Evaluate(EvalAlgorithm algorithm, CompareOp op,
   }
   Bitvector result;
   if (source->status().ok()) {
-    result = exec != nullptr
-                 ? EvaluatePredicate(*source, algorithm, op, v, *exec, s)
-                 : EvaluatePredicate(*source, algorithm, op, v, s);
+    result = EvaluatePredicate(*source, algorithm, op, v,
+                               exec != nullptr ? *exec : ExecOptions{}, s);
     // Sorted index: the bitmaps answered in physical (build) order; hand
     // the caller original row ids.
     if (!row_order_.empty()) result = RemapToLogical(result, row_order_);

@@ -192,10 +192,10 @@ class StoredIndex {
   /// logical (original) row ids — bit-identical to an unsorted build of the
   /// same column.  The remap adds no scans, ops, or bytes to `stats`.
   ///
-  /// With non-null `exec`, the bitwise combining runs on the engine
-  /// `exec->engine` selects: the segmented dense engine
-  /// (exec/segmented_eval.h) with `exec->num_threads` lanes for kPlain, or
-  /// the compressed-domain WAH engine (exec/wah_engine.h) for kWah/kAuto
+  /// The bitwise combining runs on the engine `exec` selects (null means
+  /// ExecOptions{}): dense record and replay (core/eval.h) on
+  /// `exec->num_threads` lanes for kPlain, or the compressed-domain WAH
+  /// engine (exec/wah_engine.h) for kWah/kAuto
   /// (kWah compresses fetched bitmaps and runs every operation
   /// run-at-a-time; kAuto decides per operand).  A BS index stored with the
   /// "wah" codec hands its stored payloads to the WAH engine directly

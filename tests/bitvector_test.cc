@@ -265,23 +265,14 @@ TEST(BitvectorKernelsTest, FusedFoldsMatchPairwiseFolds) {
     std::vector<Bitvector> operands;
     for (int k = 1; k <= 6; ++k) {
       operands.push_back(RandomBits(bits, 31 * bits + static_cast<size_t>(k)));
-      Bitvector or_fold = operands[0];
       Bitvector and_fold = operands[0];
       for (size_t i = 1; i < operands.size(); ++i) {
-        or_fold.OrWith(operands[i]);
         and_fold.AndWith(operands[i]);
       }
       std::vector<const Bitvector*> ptrs;
       for (const Bitvector& b : operands) ptrs.push_back(&b);
-      EXPECT_EQ(Bitvector::OrOfMany(ptrs), or_fold) << bits << " k=" << k;
       EXPECT_EQ(Bitvector::AndOfMany(ptrs), and_fold) << bits << " k=" << k;
-      // The counting forms agree with a bit-by-bit count of the folds.
-      EXPECT_EQ(Bitvector::CountOrOfMany(ptrs), NaiveCount(or_fold))
-          << bits << " k=" << k;
-      EXPECT_EQ(Bitvector::CountAndOfMany(ptrs), NaiveCount(and_fold))
-          << bits << " k=" << k;
-      // The value-span conveniences agree with the pointer forms.
-      EXPECT_EQ(OrOfMany(operands), or_fold) << bits << " k=" << k;
+      // The value-span convenience agrees with the pointer form.
       EXPECT_EQ(AndOfMany(operands), and_fold) << bits << " k=" << k;
     }
   }

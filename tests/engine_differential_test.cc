@@ -1,10 +1,12 @@
 // Property harness for the evaluation engines: over random index designs
 // (cardinality, base sequence, encoding, bit density, row count) every
-// engine — sequential plain, segmented, compressed-domain WAH, and the
+// engine — plain on one lane and on three, compressed-domain WAH, and the
 // per-operand auto engine — must produce bit-identical foundsets AND
 // identical EvalStats for all six comparison operators at every v in
 // [0, C), against the scan oracle, over both a dense in-memory index and a
-// WAH-compressed source.
+// WAH-compressed source.  Every engine's scan count must also equal the
+// cost model's closed form (ModelScans), the stats reference that does not
+// depend on any evaluator.
 //
 // On a mismatch the harness shrinks the failing design (rows, then
 // cardinality, then components) while the failure reproduces, and prints a
@@ -22,6 +24,7 @@
 #include "bitmap/bitvector.h"
 #include "core/bitmap_index.h"
 #include "core/compressed_source.h"
+#include "core/cost_model.h"
 #include "core/eval.h"
 #include "core/row_order.h"
 #include "exec/segmented_eval.h"
@@ -104,7 +107,7 @@ bool SweepFails(const Design& d, Mismatch* out) {
     algorithms = {EvalAlgorithm::kEqualityEval};
   }
 
-  const ExecOptions kSegmented{.num_threads = 2, .segment_bits = 8};
+  const ExecOptions kThreeLanes{.num_threads = 3};
   const ExecOptions kWahEngine{.engine = EngineKind::kWah};
   const ExecOptions kAutoEngine{.engine = EngineKind::kAuto};
 
@@ -122,7 +125,7 @@ bool SweepFails(const Design& d, Mismatch* out) {
             const char* name;
             const ExecOptions* options;
           };
-          const Variant variants[] = {{"segmented", &kSegmented},
+          const Variant variants[] = {{"plain x3 lanes", &kThreeLanes},
                                       {"wah", &kWahEngine},
                                       {"auto", &kAutoEngine}};
           auto report = [&](const char* engine, const char* what) {
@@ -138,6 +141,12 @@ bool SweepFails(const Design& d, Mismatch* out) {
             report("plain", "foundset diverges from scan oracle");
             return true;
           }
+          const int64_t model_scans =
+              ModelScans(base, d.cardinality, d.encoding, alg, op, v);
+          if (plain_stats.bitmap_scans != model_scans) {
+            report("plain", "bitmap_scans diverge from the cost model");
+            return true;
+          }
           for (const Variant& variant : variants) {
             EvalStats stats;
             Bitvector got = EvaluatePredicate(*sources[s], alg, op, v,
@@ -145,6 +154,10 @@ bool SweepFails(const Design& d, Mismatch* out) {
             if (!perm.empty()) got = RemapToLogical(got, perm);
             if (!(got == expected)) {
               report(variant.name, "foundset diverges from scan oracle");
+              return true;
+            }
+            if (stats.bitmap_scans != model_scans) {
+              report(variant.name, "bitmap_scans diverge from the cost model");
               return true;
             }
             if (!(stats == plain_stats)) {
@@ -270,6 +283,40 @@ TEST(EngineDifferentialTest, EdgeDesigns) {
     Mismatch m;
     EXPECT_FALSE(SweepFails(all_null, &m)) << m.detail;
   }
+}
+
+// Designs whose rows span three full replay segments (core/eval.h's
+// kSegmentBits) plus a tail segment ending in a partial word, so every
+// engine crosses segment seams and the tail mask, on one lane and on three.
+TEST(EngineDifferentialTest, MultiSegmentDesigns) {
+  constexpr size_t kRows = 3 * (size_t{1} << kSegmentBits) + 37;
+  std::mt19937_64 rng(20261018);
+  for (Encoding enc : {Encoding::kRange, Encoding::kEquality}) {
+    for (RowOrder sort : {RowOrder::kNone, RowOrder::kGray}) {
+      Design d;
+      d.seed = rng();
+      d.bases = {3, 4};
+      d.cardinality = 11;
+      d.encoding = enc;
+      d.rows = kRows;
+      d.null_period = 13;
+      d.hot_percent = 25;
+      d.sort = sort;
+      Mismatch m;
+      EXPECT_FALSE(SweepFails(d, &m)) << m.detail;
+    }
+  }
+  // Base-2 components: the complemented-E^0 path's NOTs hit the tail word.
+  Design bits;
+  bits.seed = rng();
+  bits.bases = {2, 2, 2};
+  bits.cardinality = 8;
+  bits.encoding = Encoding::kEquality;
+  bits.rows = kRows;
+  bits.null_period = 7;
+  bits.sort = RowOrder::kLex;
+  Mismatch m;
+  EXPECT_FALSE(SweepFails(bits, &m)) << m.detail;
 }
 
 // A sorted index is the same logical index in a different physical layout:

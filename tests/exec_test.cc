@@ -1,11 +1,13 @@
 // ThreadPool semantics (task coverage, lane budget, exception policy,
-// reuse, concurrent submitters) and bit-exactness of the segmented parallel
-// engine against the sequential evaluator across the full query space,
-// including EvalStats equality — the engine is a pure reassociation, so the
-// paper's closed-form cost model must keep holding under it.
+// reuse, concurrent submitters) and bit-exactness of dense record and
+// replay, on one lane and on several, against the scan oracle across the
+// query space, with scans equal to the cost model's closed form and
+// EvalStats equal across lane counts: lanes are a pure reassociation, so
+// the paper's cost model must keep holding under them.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -13,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/scan.h"
 #include "core/bitmap_index.h"
 #include "core/compressed_source.h"
+#include "core/cost_model.h"
 #include "core/eval.h"
 #include "exec/segmented_eval.h"
 #include "exec/thread_pool.h"
@@ -112,7 +116,10 @@ TEST(ThreadPoolTest, SharedPoolGrowsAndNeverShrinks) {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented evaluation vs the sequential engine
+// Record and replay across segments and lanes
+
+// Rows per replay segment (core/eval.h's kSegmentBits).
+constexpr size_t kSegmentRows = size_t{1} << kSegmentBits;
 
 struct ExecSweepCase {
   std::vector<uint32_t> bases_msb;
@@ -159,7 +166,7 @@ std::vector<Query> QueriesFor(uint32_t cardinality) {
 
 class SegmentedSweepTest : public ::testing::TestWithParam<ExecSweepCase> {};
 
-TEST_P(SegmentedSweepTest, BitIdenticalToSequentialWithEqualStats) {
+TEST_P(SegmentedSweepTest, EveryLaneCountMatchesScanOracleWithModelScans) {
   const ExecSweepCase& c = GetParam();
   std::vector<uint32_t> values = MakeColumn(c.cardinality, c.num_rows,
                                             c.with_nulls, 77 + c.cardinality);
@@ -177,14 +184,6 @@ TEST_P(SegmentedSweepTest, BitIdenticalToSequentialWithEqualStats) {
       {Encoding::kEquality, EvalAlgorithm::kEqualityEval},
       {Encoding::kEquality, EvalAlgorithm::kAuto},
   };
-  // segment_bits 8 (the clamp floor, 256-bit segments) forces many segments
-  // even on small indexes; 3 threads exceeds the segment count for the
-  // smallest case, exercising the lane clamp.
-  const ExecOptions configs[] = {
-      {.num_threads = 1, .segment_bits = 8},
-      {.num_threads = 3, .segment_bits = 8},
-      {.num_threads = 2, .segment_bits = 9},
-  };
 
   for (Encoding enc : {Encoding::kRange, Encoding::kEquality}) {
     BitmapIndex index =
@@ -192,23 +191,33 @@ TEST_P(SegmentedSweepTest, BitIdenticalToSequentialWithEqualStats) {
     for (const AlgUnderTest& alg : algs) {
       if (alg.encoding != enc) continue;
       for (const Query& q : QueriesFor(c.cardinality)) {
-        EvalStats seq_stats;
-        Bitvector expected =
-            EvaluatePredicate(index, alg.algorithm, q.op, q.v, &seq_stats);
-        for (const ExecOptions& options : configs) {
-          EvalStats par_stats;
-          Bitvector got = EvaluatePredicate(index, alg.algorithm, q.op, q.v,
-                                            options, &par_stats);
-          ASSERT_EQ(got, expected)
-              << "base=" << base.ToString() << " alg=" << ToString(alg.algorithm)
-              << " op=" << ToString(q.op) << " v=" << q.v
-              << " threads=" << options.num_threads
-              << " segment_bits=" << options.segment_bits;
-          ASSERT_EQ(par_stats, seq_stats)
-              << "stats drift: base=" << base.ToString()
-              << " alg=" << ToString(alg.algorithm) << " op=" << ToString(q.op)
-              << " v=" << q.v;
-        }
+        const Bitvector expected = ScanEvaluate(values, q.op, q.v);
+        EvalStats one_lane_stats;
+        Bitvector one_lane = EvaluatePredicate(index, alg.algorithm, q.op,
+                                               q.v, &one_lane_stats);
+        ASSERT_EQ(one_lane, expected)
+            << "base=" << base.ToString() << " alg=" << ToString(alg.algorithm)
+            << " op=" << ToString(q.op) << " v=" << q.v << " lanes=1";
+        ASSERT_EQ(one_lane_stats.bitmap_scans,
+                  ModelScans(base, c.cardinality, enc, alg.algorithm, q.op,
+                             q.v))
+            << "scans drift from the model: base=" << base.ToString()
+            << " alg=" << ToString(alg.algorithm) << " op=" << ToString(q.op)
+            << " v=" << q.v;
+        // 3 lanes exceed the segment count of the smallest case, exercising
+        // the lane clamp.
+        EvalStats three_lane_stats;
+        Bitvector three_lanes =
+            EvaluatePredicate(index, alg.algorithm, q.op, q.v,
+                              ExecOptions{.num_threads = 3},
+                              &three_lane_stats);
+        ASSERT_EQ(three_lanes, expected)
+            << "base=" << base.ToString() << " alg=" << ToString(alg.algorithm)
+            << " op=" << ToString(q.op) << " v=" << q.v << " lanes=3";
+        ASSERT_EQ(three_lane_stats, one_lane_stats)
+            << "stats drift across lanes: base=" << base.ToString()
+            << " alg=" << ToString(alg.algorithm) << " op=" << ToString(q.op)
+            << " v=" << q.v;
       }
     }
   }
@@ -217,37 +226,40 @@ TEST_P(SegmentedSweepTest, BitIdenticalToSequentialWithEqualStats) {
 INSTANTIATE_TEST_SUITE_P(
     DesignSpace, SegmentedSweepTest,
     ::testing::Values(
-        // Single partial segment (num_rows < one 256-bit segment).
+        // Single partial segment, partial final word.
         ExecSweepCase{{7}, 7, 100, true},
-        // Exact segment multiple (no tail word ambiguity): 20 x 256.
-        ExecSweepCase{{3, 3}, 9, 5120, false},
-        // Tail segment plus a partial final word.
-        ExecSweepCase{{3, 3}, 9, 5001, true},
+        // Exact multiple of three segments: no tail word at all.
+        ExecSweepCase{{3, 3}, 9, 3 * kSegmentRows, false},
+        // Three full segments, then a tail segment ending in a partial word.
+        ExecSweepCase{{3, 3}, 9, 3 * kSegmentRows + 37, true},
+        // A tail segment of whole words only.
+        ExecSweepCase{{3, 3}, 9, 3 * kSegmentRows + 64, true},
         // Bit-sliced with nulls.
-        ExecSweepCase{{2, 2, 2, 2}, 13, 3000, true},
+        ExecSweepCase{{2, 2, 2, 2}, 13, 3 * kSegmentRows + 37, true},
         // The paper's knee base and Section 3 example, larger domain.
-        ExecSweepCase{{28, 36}, 1000, 5000, true},
-        ExecSweepCase{{10, 10, 10}, 1000, 5000, false}));
+        ExecSweepCase{{28, 36}, 1000, 3 * kSegmentRows + 37, true},
+        ExecSweepCase{{10, 10, 10}, 1000, 3 * kSegmentRows + 37, false}));
 
 TEST(SegmentedEvalTest, RecordedProgramIsReusable) {
-  std::vector<uint32_t> values = MakeColumn(9, 2000, true, 5);
+  std::vector<uint32_t> values =
+      MakeColumn(9, 3 * kSegmentRows + 37, true, 5);
   BaseSequence base = BaseSequence::FromMsbFirst({3, 3});
   BitmapIndex index = BitmapIndex::Build(values, 9, base, Encoding::kRange);
 
-  EvalStats seq_stats;
+  EvalStats eval_stats;
   Bitvector expected = EvaluatePredicate(index, EvalAlgorithm::kRangeEvalOpt,
-                                         CompareOp::kLe, 4, &seq_stats);
+                                         CompareOp::kLe, 4, &eval_stats);
+  ASSERT_EQ(expected, ScanEvaluate(values, CompareOp::kLe, 4));
 
   EvalStats rec_stats;
-  exec::EvalProgram program = exec::RecordEvalProgram(
+  EvalProgram program = RecordEvalProgram(
       index, EvalAlgorithm::kRangeEvalOpt, CompareOp::kLe, 4, &rec_stats);
-  EXPECT_EQ(rec_stats, seq_stats) << "recording must count like execution";
+  EXPECT_EQ(rec_stats, eval_stats) << "recording must count like evaluation";
 
   // Replaying charges nothing further and is repeatable.
-  ExecOptions options{.num_threads = 2, .segment_bits = 8};
-  EXPECT_EQ(exec::ExecuteProgram(program, options), expected);
-  EXPECT_EQ(exec::ExecuteProgram(program, options), expected);
-  EXPECT_EQ(rec_stats, seq_stats);
+  EXPECT_EQ(ReplayProgram(program), expected);
+  EXPECT_EQ(ReplayProgram(program), expected);
+  EXPECT_EQ(rec_stats, eval_stats);
 }
 
 TEST(SegmentedEvalTest, TrivialResultsNeedNoInstructions) {
@@ -260,14 +272,49 @@ TEST(SegmentedEvalTest, TrivialResultsNeedNoInstructions) {
   for (auto [op, v] : {std::pair{CompareOp::kGt, int64_t{100}},
                        std::pair{CompareOp::kLe, int64_t{100}}}) {
     EvalStats stats;
-    exec::EvalProgram program = exec::RecordEvalProgram(
+    EvalProgram program = RecordEvalProgram(
         index, EvalAlgorithm::kRangeEvalOpt, op, v, &stats);
     EXPECT_EQ(stats.bitmap_scans, 0);
-    Bitvector got =
-        exec::ExecuteProgram(program, ExecOptions{.num_threads = 3});
-    EXPECT_EQ(got, EvaluatePredicate(index, EvalAlgorithm::kRangeEvalOpt,
-                                     op, v));
+    EXPECT_EQ(ReplayProgram(program), ScanEvaluate(values, op, v));
   }
+}
+
+// Every algorithm ends by ANDing with an operand whose tail is clear (B_nn),
+// which would hide a dirty tail left behind by NOT or ONES.  These programs
+// end on those instructions, so the replay kernel's tail mask is checked
+// directly, across segment seams, on one lane and on three lanes that take
+// the segments in reverse order.
+TEST(SegmentedEvalTest, NotAndOnesKeepTheTailClear) {
+  using Op = EvalInstr::Op;
+  const size_t rows = 3 * kSegmentRows + 37;
+  Bitvector input(rows);
+  for (size_t r = 0; r < rows; r += 3) input.Set(r);
+  Bitvector negated = input;
+  negated.NotInPlace();
+
+  EvalProgram not_program;
+  not_program.num_bits = rows;
+  not_program.inputs = {&input};
+  not_program.instrs = {{Op::kLoad, 0, 0, true}, {Op::kNot, 0}};
+  not_program.result_reg = 0;
+  not_program.num_regs = 1;
+  EvalProgram ones_program;
+  ones_program.num_bits = rows;
+  ones_program.instrs = {{Op::kOnes, 0}};
+  ones_program.result_reg = 0;
+  ones_program.num_regs = 1;
+
+  const SegmentScheduler reversed =
+      [](size_t num_segments, int lanes,
+         const std::function<void(size_t, int)>& segment) {
+        for (size_t seg = num_segments; seg-- > 0;) {
+          segment(seg, static_cast<int>(seg % static_cast<size_t>(lanes)));
+        }
+      };
+  EXPECT_EQ(ReplayProgram(not_program), negated);
+  EXPECT_EQ(ReplayProgram(not_program, 3, reversed), negated);
+  EXPECT_EQ(ReplayProgram(ones_program), Bitvector::Ones(rows));
+  EXPECT_EQ(ReplayProgram(ones_program, 3, reversed), Bitvector::Ones(rows));
 }
 
 // ---------------------------------------------------------------------------
@@ -430,9 +477,9 @@ TEST(WahAutoKeepRuleTest, MatchesPlainOnClusteredAndNoisySources) {
 }
 
 // TSan target (scripts/check.sh --tsan runs *Segmented*): kAuto queries on
-// one shared compressed source from several threads at once, each query
-// itself segmented over two lanes, must agree with the sequential result
-// and be data-race-free (the rule reads no shared mutable state).
+// one shared compressed source from several threads at once (the lane
+// count does not apply to the compressed engine) must agree with the plain
+// result and be data-race-free (the rule reads no shared mutable state).
 TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
   BitmapIndex index = BitmapIndex::Build(
       MakeColumn(9, 3000, true, 20261020), 9,

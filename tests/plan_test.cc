@@ -72,7 +72,7 @@ TEST(SelectionPlanTest, ParallelIndexMergeMatchesSequential) {
     ExecutionResult seq = sequential.Execute(query, merge);
     ExecutionResult par = parallel.Execute(query, merge);
     EXPECT_EQ(par.foundset, seq.foundset);
-    // Cost accounting must be invariant under probe parallelism.
+    // Cost accounting must be invariant under the lane count.
     EXPECT_EQ(par.bytes_read, seq.bytes_read);
     EXPECT_EQ(par.bitmap_scans, seq.bitmap_scans);
     EXPECT_EQ(par.rids_read, seq.rids_read);

@@ -8,9 +8,9 @@
 // and a table with one attribute indexed only by a RID list (RID probes
 // never touch the engine, so each conjunction mixes both probe kinds).
 //
-// For every engine {plain, wah, auto} and probe parallelism {1, 3}, the P3
+// For every engine {plain, wah, auto} and lane count {1, 3}, the P3
 // foundset and every plan Explain(execute_all) runs must equal the scan
-// oracle, and each plan's cost accounting must equal the sequential plain
+// oracle, and each plan's cost accounting must equal the default plain
 // engine's.
 
 #include <algorithm>
@@ -140,7 +140,7 @@ void CheckEveryEngine(Shape shape) {
   const std::vector<ConjunctiveQuery> queries = MakeQueries(4242, 60);
   const PlanEstimate merge{PlanKind::kIndexMerge, -1, 0};
 
-  SelectionPlanner reference(table);  // plain engine, sequential probes
+  SelectionPlanner reference(table);  // default ExecOptions
   const obs::Counter& compressed_ops =
       obs::MetricsRegistry::Global().GetCounter("wah_engine.compressed_ops");
   const int64_t compressed_ops_before = compressed_ops.value();

@@ -2,8 +2,8 @@
 //
 // The load-bearing property is *conservation*: for one profiled query, the
 // counters attributed across the span tree must sum exactly to the delta the
-// process-wide registry saw — on every engine, including the segmented
-// engine whose workers attribute through ProfAdopt.  Time conservation is
+// process-wide registry saw — on every engine and lane count (pool lanes
+// attribute through ProfAdopt).  Time conservation is
 // structural (inclusive = self + children by construction) so it is not
 // asserted against wall clocks.
 

@@ -131,20 +131,15 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-// Engine options from --threads / --segment-bits / --engine; nullopt when
-// no flag is given so the default sequential path stays untouched.
+// Engine options from --threads / --engine; nullopt when neither flag is
+// given, so the query runs with the default ExecOptions.
 std::optional<ExecOptions> ExecOptionsFromFlags(const Flags& flags,
                                                 bool* bad_engine) {
   *bad_engine = false;
-  if (!flags.Has("threads") && !flags.Has("segment-bits") &&
-      !flags.Has("engine")) {
-    return std::nullopt;
-  }
+  if (!flags.Has("threads") && !flags.Has("engine")) return std::nullopt;
   ExecOptions options;
   options.num_threads =
       static_cast<int>(flags.GetInt("threads").value_or(1));
-  options.segment_bits = static_cast<uint32_t>(
-      flags.GetInt("segment-bits").value_or(options.segment_bits));
   std::string engine = flags.GetOr("engine", "plain");
   if (engine == "plain") {
     options.engine = EngineKind::kPlain;
@@ -180,11 +175,10 @@ int Usage() {
                "[--stats]\n"
                "                 [--trace-out FILE] [--flame-out FILE] "
                "[--threads N]\n"
-               "                 [--segment-bits B] [--engine plain|wah|auto]\n"
+               "                 [--engine plain|wah|auto]\n"
                "  bixctl explain --dir D --pred \"<= 24\" [--analyze] "
                "[--flame-out FILE]\n"
-               "                 [--threads N] [--segment-bits B] "
-               "[--engine plain|wah|auto]\n"
+               "                 [--threads N] [--engine plain|wah|auto]\n"
                "  bixctl append  --dir D --values \"24,36,null,..\"\n"
                "  bixctl delete  --dir D (--rows \"0,5,..\" | --pred "
                "\"<= 24\")\n"
@@ -510,9 +504,8 @@ int CmdExplain(const Flags& flags) {
   int64_t rank_v;
   TranslateRawPredicate(map, parsed.op, parsed.value, &rank_op, &rank_v);
 
-  EvalAlgorithm algorithm = stored->encoding() == Encoding::kRange
-                                ? EvalAlgorithm::kRangeEvalOpt
-                                : EvalAlgorithm::kEqualityEval;
+  EvalAlgorithm algorithm =
+      ResolveAlgorithm(stored->encoding(), EvalAlgorithm::kAuto);
   EvalStats predicted =
       obs::PredictStats(stored->base(), stored->cardinality(),
                         stored->encoding(), algorithm, rank_op, rank_v);

@@ -62,15 +62,34 @@ fi
 grep -q "algorithm:" "$WORK/explain.out" || fail "explain algorithm"
 grep -q "audit:           OK" "$WORK/explain.out" || fail "explain audit OK"
 
-# The segmented parallel engine must match the sequential path bit for bit:
-# same row count and a clean audit (zero scan-count drift).
-"$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --threads 4 \
-    --segment-bits 8 | grep -q "6 of 9 records" || fail "parallel query"
-"$BIXCTL" explain --dir "$WORK/idx" --pred "<= 500" --threads 4 \
-    --segment-bits 8 > "$WORK/explain_par.out" \
+# Lanes must match one-lane evaluation bit for bit: same rows, scans and
+# bytes, and a clean audit (zero scan-count drift).  The column spans four
+# 64 Kbit replay segments, so --threads 4 really runs several lanes (and
+# prints their speedup).  Decompress time and that speedup line are the
+# only output that differs between the runs.
+{ echo v; awk 'BEGIN { for (i = 0; i < 196645; ++i) print (i * 7919) % 1000 }'; } \
+    > "$WORK/big.csv"
+"$BIXCTL" build --csv "$WORK/big.csv" --col 0 --dir "$WORK/idx_big" \
+    > /dev/null || fail "build multi-segment index"
+strip_time() {
+  sed -E -e 's/[0-9.]+ms decompress/-ms decompress/' -e '/^parallel speedup/d'
+}
+"$BIXCTL" query --dir "$WORK/idx_big" --pred "<= 500" > "$WORK/q_seq.out"
+"$BIXCTL" query --dir "$WORK/idx_big" --pred "<= 500" --threads 4 \
+    > "$WORK/q_par.out" || fail "parallel query exit code"
+grep -q "98518 of 196645 records" "$WORK/q_seq.out" || fail "sequential query"
+grep -q "^parallel speedup" "$WORK/q_par.out" || fail "parallel query lanes"
+cmp -s <(strip_time < "$WORK/q_seq.out") <(strip_time < "$WORK/q_par.out") \
+    || fail "parallel query"
+"$BIXCTL" explain --dir "$WORK/idx_big" --pred "<= 500" | strip_time \
+    > "$WORK/explain_seq.out" || fail "explain exit code (audit drift?)"
+"$BIXCTL" explain --dir "$WORK/idx_big" --pred "<= 500" --threads 4 \
+    | strip_time > "$WORK/explain_par.out" \
     || fail "parallel explain exit code (audit drift?)"
 grep -q "audit:           OK" "$WORK/explain_par.out" \
     || fail "parallel explain audit OK"
+cmp -s "$WORK/explain_seq.out" "$WORK/explain_par.out" \
+    || fail "parallel explain"
 
 # The compressed-domain engine (and the per-operand auto mode) must also
 # match bit for bit, with a clean cost-model audit.
@@ -136,8 +155,8 @@ for eng in plain wah auto; do
       || fail "analyze stored-eval node ($eng)"
   grep -q "scans=" "$WORK/analyze_$eng.out" || fail "analyze counters ($eng)"
 done
-"$BIXCTL" explain --dir "$WORK/idx" --pred "<= 500" --analyze --threads 4 \
-    --segment-bits 8 > "$WORK/analyze_par.out" \
+"$BIXCTL" explain --dir "$WORK/idx_big" --pred "<= 500" --analyze \
+    --threads 4 > "$WORK/analyze_par.out" \
     || fail "parallel explain --analyze exit code"
 grep -q "^query " "$WORK/analyze_par.out" || fail "parallel analyze root"
 
