@@ -5,11 +5,11 @@
 // Part 1 (micro): for each bit density, memory footprint and AND-throughput
 // of the dense and WAH forms.  Part 2 (end-to-end): full predicate
 // evaluation over a WahCompressedSource under --engine=plain (inflate every
-// fetch, dense ops), --engine=wah (run-at-a-time, never inflate), and
-// --engine=auto (per-operand choice).  Expected shape: compressed execution
-// wins on sparse/clustered bitmaps (low-cardinality equality bitmaps,
-// sorted relations), loses on dense ~50% bitmaps, and auto tracks the
-// better of the two at every density point.
+// fetch, dense ops) and --engine=auto (an operand stays compressed iff its
+// WAH form is at most 1/32 of its dense form).  Expected shape: compressed
+// execution wins on sparse/clustered bitmaps (low-cardinality equality
+// bitmaps, sorted relations), loses on dense ~50% bitmaps, and auto tracks
+// the better of the two at every density point.
 //
 // Usage: bench_wah_ablation [--smoke] [OUT.json]
 //   --smoke    smaller bitmaps/relation (registered as a ctest smoke)
@@ -218,14 +218,14 @@ int main(int argc, char** argv) {
   }
 
   // End-to-end: the same predicate sweep over a WahCompressedSource under
-  // each engine.  plain = decompress-then-op, wah = compressed-domain,
-  // auto = per-operand choice; results are bit-identical (checksummed).
+  // each engine.  plain = decompress-then-op, auto = per-operand choice;
+  // results are bit-identical (checksummed).
   const size_t rows = smoke ? 200000 : 2000000;
   const int query_reps = smoke ? 3 : 10;
   std::printf("\nend-to-end over WahCompressedSource, %zu rows, equality "
               "encoding, 9-query sweep\n\n", rows);
-  std::printf("%-26s | %9s | %12s %12s %12s\n", "relation", "C",
-              "plain us/q", "wah us/q", "auto us/q");
+  std::printf("%-26s | %9s | %12s %12s\n", "relation", "C", "plain us/q",
+              "auto us/q");
 
   struct Relation {
     const char* name;
@@ -246,22 +246,19 @@ int main(int argc, char** argv) {
         BaseSequence::SingleComponent(rel.cardinality), Encoding::kEquality);
     WahCompressedSource source(index);
 
-    size_t check_plain = 0, check_wah = 0, check_auto = 0;
+    size_t check_plain = 0, check_auto = 0;
     double plain_us = MeasureEngine(source, EngineKind::kPlain,
                                     rel.cardinality, query_reps, &check_plain);
-    double wah_us = MeasureEngine(source, EngineKind::kWah, rel.cardinality,
-                                  query_reps, &check_wah);
     double auto_us = MeasureEngine(source, EngineKind::kAuto, rel.cardinality,
                                    query_reps, &check_auto);
-    if (check_wah != check_plain || check_auto != check_plain) {
+    if (check_auto != check_plain) {
       std::printf("FAIL: engines disagree on %s\n", rel.name);
       return 1;
     }
-    std::printf("%-26s | %9u | %12.1f %12.1f %12.1f\n", rel.name,
-                rel.cardinality, plain_us, wah_us, auto_us);
-    for (auto& [engine, us] :
-         std::vector<std::pair<const char*, double>>{
-             {"plain", plain_us}, {"wah", wah_us}, {"auto", auto_us}}) {
+    std::printf("%-26s | %9u | %12.1f %12.1f\n", rel.name, rel.cardinality,
+                plain_us, auto_us);
+    for (auto& [engine, us] : std::vector<std::pair<const char*, double>>{
+             {"plain", plain_us}, {"auto", auto_us}}) {
       json.Add("wah_ablation_engine",
                {{"relation", rel.name},
                 {"cardinality", static_cast<int64_t>(rel.cardinality)},

@@ -1,6 +1,6 @@
 // Micro-benchmark for the k-ary WAH OR fold (bitmap/wah_kernels.cc): every
 // operand's code words stitched into one dense accumulator, the form the
-// compressed engines consume.
+// compressed-domain engine consumes.
 //
 // The grid sweeps bit density (sparse fills -> uniform noise) against fan-in
 // k in {2, 4, 8, 16, 32}.  Each result is checked against a pairwise WAH OR

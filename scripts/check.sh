@@ -40,7 +40,7 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   # Fast lane for engine work: the seeded differential/property harness and
   # the WAH codec fuzz tests (label "differential", tests/CMakeLists.txt)
   # cross-check the plain engine on one lane and on three and the
-  # compressed-domain engines for bit equality and EvalStats parity in a
+  # compressed-domain engine for bit equality and EvalStats parity in a
   # few seconds.
   cmake -B build -G Ninja
   cmake --build build --target bix_differential_tests
@@ -229,10 +229,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
       bench_parallel_scaling
   ./build-tsan/tests/bix_tests \
       --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:OperandCache*:Serve*'
-  # P3 on every engine with num_threads = 3.  Its probes run one after
-  # another, and its 4000-row tables fit one replay segment, so lanes clamp
-  # to one: this checks that the lane setting stays race-free where it does
-  # not apply, beside the process-wide wah_engine.* counters.
+  # P3 on both engines with the default one lane.  Its probes run one
+  # after another on the calling thread and spawn no threads of their own,
+  # so this is a smoke run of the planner and the process-wide wah_engine.*
+  # counters under the TSan build, not a concurrency check.
   ./build-tsan/tests/bix_differential_tests \
       --gtest_filter='PlannerEngineDifferential*'
   ./build-tsan/bench/bench_parallel_scaling --smoke \

@@ -31,7 +31,7 @@
 namespace bix {
 
 /// OR / AND of `operands` (non-empty, equal sizes) as dense words — the form
-/// the compressed engines keep going on.
+/// the compressed-domain engine keeps going on.
 Bitvector DenseOrOfMany(std::span<const WahBitvector* const> operands);
 Bitvector DenseAndOfMany(std::span<const WahBitvector* const> operands);
 

@@ -4,10 +4,8 @@
 // compressed-domain engine's operand format: a bitmap-level (BS) index
 // stored with this codec can hand its payload straight to
 // BitmapSource::FetchWah as a WahBitvector — zero decompression on the
-// fetch path — which closes the ROADMAP follow-up where `--engine=wah`
-// over a disk-backed cBS index inflated and re-compressed every fetch.
-// Generic readers (other schemes, the dense engines) still Decompress to
-// raw bytes like any codec.
+// fetch path.  Generic readers (other schemes, the dense engine) still
+// Decompress to raw bytes like any codec.
 //
 // Payload layout: u64 num_bits (little-endian) then the u32 code words.
 // Compress treats its input as a bit string of 8 * size bits; the storage

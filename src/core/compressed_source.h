@@ -33,7 +33,7 @@ class WahCompressedSource final : public BitmapSource {
   const Bitvector& non_null() const override { return non_null_; }
   Bitvector Fetch(int component, uint32_t slot,
                   EvalStats* stats) const override;
-  /// Zero-decode fetch for the compressed-domain engines: hands out the
+  /// Zero-decode fetch for the compressed-domain engine: hands out the
   /// stored WAH bitmap itself, counting the same one bitmap scan as Fetch.
   const WahBitvector* FetchWah(int component, uint32_t slot,
                                EvalStats* stats) const override;

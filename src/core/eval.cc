@@ -446,8 +446,6 @@ const char* ToString(EngineKind kind) {
   switch (kind) {
     case EngineKind::kPlain:
       return "plain";
-    case EngineKind::kWah:
-      return "wah";
     case EngineKind::kAuto:
       return "auto";
   }

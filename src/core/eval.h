@@ -51,14 +51,14 @@ namespace bix {
 /// Which substrate the evaluation operators run on.
 ///  * kPlain — dense Bitvector words (the paper's model; decompress first if
 ///             the source stores compressed bitmaps).
-///  * kWah   — run-at-a-time on the WAH-compressed form; operands fetched
-///             via BitmapSource::FetchWah stay compressed end to end.
-///  * kAuto  — per-operand choice: an operand stays compressed while its
-///             WAH form is markedly smaller than dense, otherwise it is
-///             inflated once and the op runs on words.
-/// Every engine produces bit-identical results and identical EvalStats; the
-/// choice only moves where the work happens (exec/wah_engine.h).
-enum class EngineKind : uint8_t { kPlain, kWah, kAuto };
+///  * kAuto  — per-operand choice: an operand fetched via
+///             BitmapSource::FetchWah stays compressed while its WAH form is
+///             at most 1/32 of its dense form and runs run-at-a-time on the
+///             code words; otherwise it is inflated once and the op runs on
+///             words (exec/wah_engine.h).
+/// Both engines produce bit-identical results and identical EvalStats; the
+/// choice only moves where the work happens.
+enum class EngineKind : uint8_t { kPlain, kAuto };
 
 const char* ToString(EngineKind kind);
 
@@ -66,9 +66,9 @@ const char* ToString(EngineKind kind);
 /// implements the overload of EvaluatePredicate that takes these).
 /// `num_threads` is the number of lanes that replay one dense evaluation's
 /// segments (1 = the calling thread alone, no pool).  `engine` selects the
-/// operator substrate; the compressed-domain engines are single-threaded
-/// (runs, not segments, are their unit of work), so `engine != kPlain`
-/// ignores `num_threads`.  Results are bit-identical and EvalStats equal
+/// operator substrate; the compressed-domain engine is single-threaded
+/// (runs, not segments, are its unit of work), so kAuto ignores
+/// `num_threads`.  Results are bit-identical and EvalStats equal
 /// under every setting: lanes and compressed execution reassociate the work,
 /// they never reorder the algorithm.
 struct ExecOptions {
@@ -171,8 +171,8 @@ namespace eval_internal {
 
 /// Folds one evaluation's stats delta and latency into the process-wide
 /// metrics registry (a handful of relaxed atomic adds per query).  Shared
-/// with the compressed-domain engine (exec/wah_engine.cc) so every engine
-/// feeds the same eval.* metrics.
+/// with the compressed-domain engine (exec/wah_engine.cc) so both engines
+/// feed the same eval.* metrics.
 void RecordQueryMetrics(const EvalStats& delta, int64_t latency_ns);
 
 /// The dense evaluation behind both EvaluatePredicate overloads: record,

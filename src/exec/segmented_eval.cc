@@ -43,11 +43,10 @@ void ScheduleOnPool(size_t num_segments, int lanes,
 Bitvector EvaluatePredicate(const BitmapSource& source,
                             EvalAlgorithm algorithm, CompareOp op, int64_t v,
                             const ExecOptions& options, EvalStats* stats) {
-  if (options.engine != EngineKind::kPlain) {
-    // Compressed-domain engines are run-oriented, not segment-oriented; the
-    // lane count does not apply.  Same results, same EvalStats.
-    return exec::EvaluatePredicateCompressed(source, algorithm, op, v,
-                                             options.engine, stats);
+  if (options.engine == EngineKind::kAuto) {
+    // The compressed-domain engine is run-oriented, not segment-oriented;
+    // the lane count does not apply.  Same results, same EvalStats.
+    return exec::EvaluatePredicateCompressed(source, algorithm, op, v, stats);
   }
   return eval_internal::EvaluateDense(source, algorithm, op, v,
                                       options.num_threads, ScheduleOnPool,

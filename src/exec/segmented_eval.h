@@ -1,10 +1,9 @@
 // The EvaluatePredicate overload that takes ExecOptions.
 //
-// It dispatches on `options.engine`: kWah and kAuto run the
-// compressed-domain engine (exec/wah_engine.h); kPlain runs core's record
-// and replay (core/eval.h) with its segments spread across
-// `options.num_threads` lanes of the shared thread pool
-// (exec/thread_pool.h).  Segments are independent spans of the same
+// It dispatches on `options.engine`: kAuto runs the compressed-domain
+// engine (exec/wah_engine.h); kPlain runs core's record and replay
+// (core/eval.h) with its segments spread across `options.num_threads`
+// lanes of the shared thread pool (exec/thread_pool.h).  Segments are independent spans of the same
 // operator chain, so lanes reassociate the work without reordering the
 // algorithm: results are bit-identical to one lane and EvalStats are equal.
 

@@ -166,8 +166,8 @@ class WahEngine {
  public:
   using Vec = WahVec;
 
-  WahEngine(const BitmapSource& src, EngineKind kind, EvalStats* stats)
-      : src_(src), kind_(kind), stats_(stats) {}
+  WahEngine(const BitmapSource& src, EvalStats* stats)
+      : src_(src), stats_(stats) {}
 
   const BitmapSource& source() const { return src_; }
   EvalStats* stats() const { return stats_; }
@@ -176,14 +176,9 @@ class WahEngine {
     const WahBitvector* wah = src_.FetchWah(component, slot, stats_);
     if (wah == nullptr) {
       // No compressed representation: fall back to a dense fetch (which
-      // counts the one bitmap scan; FetchWah counted nothing).  kWah forces
-      // the compressed substrate even then, compressing on fetch; kAuto
-      // never pays the conversion for a dense-stored operand.
-      Bitvector dense = src_.Fetch(component, slot, stats_);
-      if (kind_ == EngineKind::kWah) {
-        return WahVec::Wah(WahBitvector::FromBitvector(dense));
-      }
-      return WahVec::Dense(std::move(dense));
+      // counts the one bitmap scan; FetchWah counted nothing).  A
+      // dense-stored operand is never compressed on fetch.
+      return WahVec::Dense(src_.Fetch(component, slot, stats_));
     }
     if (KeepCompressed(*wah)) return WahVec::Wah(*wah);
     InflatedOperands().Increment();
@@ -196,19 +191,12 @@ class WahEngine {
   Vec Ones() const {
     return WahVec::Wah(WahBitvector::Fill(src_.num_records(), true));
   }
-  Vec NonNull() {
+  Vec NonNull() const {
+    // B_nn follows the fetched operands' rule: a dense-storing source has no
+    // compressed B_nn, and a compressed one is kept only if it pays.
     const WahBitvector* cached = src_.NonNullWah();
-    if (cached != nullptr) {
-      if (KeepCompressed(*cached)) return WahVec::Wah(*cached);
-      return WahVec::Dense(src_.non_null());
-    }
-    // Dense-storing source: kWah forces the compressed substrate (compress
-    // once per query); kAuto stays dense, as for fetched operands.
-    if (kind_ == EngineKind::kWah) {
-      if (non_null_wah_.empty() && src_.num_records() != 0) {
-        non_null_wah_ = WahBitvector::FromBitvector(src_.non_null());
-      }
-      return WahVec::Wah(non_null_wah_);
+    if (cached != nullptr && KeepCompressed(*cached)) {
+      return WahVec::Wah(*cached);
     }
     return WahVec::Dense(src_.non_null());
   }
@@ -219,7 +207,7 @@ class WahEngine {
     // Every compressed operand's code words are stitched into one dense
     // accumulator without inflating it; dense operands are ORed in word by
     // word.  The ops count as compressed only when no operand was dense.
-    // Either way the result stays dense (kWah callers re-compress in
+    // Either way the result stays dense (EvaluateToWah re-compresses it in
     // IntoWah at the very end).
     std::vector<const WahBitvector*> wah;
     std::vector<const Bitvector*> dense;
@@ -246,22 +234,17 @@ class WahEngine {
 
  private:
   bool KeepCompressed(const WahBitvector& w) const {
-    if (kind_ == EngineKind::kWah) return true;
     const size_t dense_bytes = ((src_.num_records() + 63) / 64) * 8;
     return w.SizeInBytes() * kAutoKeepDenominator <= dense_bytes;
   }
 
   const BitmapSource& src_;
-  EngineKind kind_;
   EvalStats* stats_;
-  WahBitvector non_null_wah_;  // compressed B_nn, built on first use
 };
 
 WahVec RunAlgorithm(const BitmapSource& source, EvalAlgorithm algorithm,
-                    CompareOp op, int64_t v, EngineKind engine,
-                    EvalStats* stats) {
-  BIX_CHECK(engine != EngineKind::kPlain);
-  WahEngine eng(source, engine, stats);
+                    CompareOp op, int64_t v, EvalStats* stats) {
+  WahEngine eng(source, stats);
   switch (algorithm) {
     case EvalAlgorithm::kRangeEval:
       return eval_detail::RangeEvalImpl(eng, op, v);
@@ -279,8 +262,7 @@ WahVec RunAlgorithm(const BitmapSource& source, EvalAlgorithm algorithm,
 // Shared trace/metrics envelope, mirroring the dense one in core/eval.cc; `finish` turns the engine's result into the caller's form.
 template <typename Finish>
 auto Evaluate(const BitmapSource& source, EvalAlgorithm algorithm,
-              CompareOp op, int64_t v, EngineKind engine, EvalStats* stats,
-              Finish finish) {
+              CompareOp op, int64_t v, EvalStats* stats, Finish finish) {
   algorithm = ResolveAlgorithm(source.encoding(), algorithm);
   EvalStats local;
   EvalStats* s = stats != nullptr ? stats : &local;
@@ -289,13 +271,12 @@ auto Evaluate(const BitmapSource& source, EvalAlgorithm algorithm,
   obs::TraceSpan span("eval", ToString(algorithm).data());
   span.set_value(v);
   if (span.active()) {
-    span.set_detail(std::string(ToString(op)) + " engine=" +
-                    ToString(engine));
+    span.set_detail(std::string(ToString(op)) + " engine=auto");
   }
   obs::ProfSpan prof("eval", ToString(algorithm));
 
   const auto start = std::chrono::steady_clock::now();
-  WahVec result = RunAlgorithm(source, algorithm, op, v, engine, s);
+  WahVec result = RunAlgorithm(source, algorithm, op, v, s);
   auto finished = finish(std::move(result));
   const int64_t latency_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -310,16 +291,16 @@ auto Evaluate(const BitmapSource& source, EvalAlgorithm algorithm,
 
 Bitvector EvaluatePredicateCompressed(const BitmapSource& source,
                                       EvalAlgorithm algorithm, CompareOp op,
-                                      int64_t v, EngineKind engine,
-                                      EvalStats* stats) {
-  return Evaluate(source, algorithm, op, v, engine, stats,
+                                      int64_t v, EvalStats* stats) {
+  return Evaluate(source, algorithm, op, v, stats,
                   [](WahVec r) { return std::move(r).IntoDense(); });
 }
 
 WahBitvector EvaluateToWah(const BitmapSource& source, EvalAlgorithm algorithm,
                            CompareOp op, int64_t v, EngineKind engine,
                            EvalStats* stats) {
-  return Evaluate(source, algorithm, op, v, engine, stats,
+  BIX_CHECK(engine == EngineKind::kAuto);
+  return Evaluate(source, algorithm, op, v, stats,
                   [](WahVec r) { return std::move(r).IntoWah(); });
 }
 

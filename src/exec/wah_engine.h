@@ -1,19 +1,19 @@
-// Compressed-domain execution engine over WAH bitvectors.
+// Compressed-domain execution engine over WAH bitvectors (EngineKind::kAuto).
 //
 // The second backend for the shared algorithm templates in
 // core/eval_algorithms.h, next to the dense recording engine whose programs
 // core/eval.cc replays segment-at-a-time.  Operands are fetched through
-// BitmapSource::FetchWah and stay WAH-compressed: each binary AND/OR/XOR
-// and NOT runs run-at-a-time on the code words.
+// BitmapSource::FetchWah; one is kept WAH-compressed iff its WAH form is at
+// most 1/32 of its dense form, and otherwise inflated on fetch so its
+// operations run on dense words.  The rule depends on the operand alone: no
+// timing, no process-wide state.  A source that stores dense bitmaps hands
+// out dense operands, which are never compressed on fetch.
+//
+// Compressed x compressed AND/OR/XOR and NOT run run-at-a-time on the code
+// words; mixed compressed/dense operations densify on demand.
 // EqualityEval's k-ary OR-sides stitch every compressed operand's code words
 // into one dense accumulator (bitmap/wah_kernels.h), OR any dense operands
 // into it, and keep going on dense words.
-//
-// EngineKind::kWah keeps every fetched operand compressed unconditionally;
-// EngineKind::kAuto keeps one compressed iff its WAH form is at most 1/32
-// of its dense form, and otherwise inflates it on fetch so its operations
-// run on dense words.  The rule depends on the operand alone: no timing, no
-// process-wide state.  Mixed compressed/dense operations densify on demand.
 //
 // Results are bit-identical to the dense engine and EvalStats are equal by
 // construction: the templates count operations (OpCounter) and both FetchWah
@@ -34,19 +34,19 @@
 
 namespace bix::exec {
 
-/// Evaluates `A op v` on the compressed substrate (`engine` must be kWah or
-/// kAuto) with the same trace/metrics envelope as the other entry points.
-/// Bit-identical to the dense path, including EvalStats.
+/// Evaluates `A op v` on the compressed substrate with the same
+/// trace/metrics envelope as the other entry points.  Bit-identical to the
+/// dense path, including EvalStats.
 Bitvector EvaluatePredicateCompressed(const BitmapSource& source,
                                       EvalAlgorithm algorithm, CompareOp op,
-                                      int64_t v, EngineKind engine,
-                                      EvalStats* stats = nullptr);
+                                      int64_t v, EvalStats* stats = nullptr);
 
 /// Same evaluation, handed back WAH-compressed: a result the engine holds
-/// dense (kAuto inflated an operand, or a k-ary OR ran) is compressed once
-/// here.  For callers that keep going in the compressed domain; callers
-/// that want the foundset itself should use EvaluatePredicateCompressed,
-/// which never converts a dense result.
+/// dense (an operand was inflated or stored dense, or a k-ary OR ran) is
+/// compressed once here.  `engine` must be kAuto.  For callers that keep
+/// going in the compressed domain; callers that want the foundset itself
+/// should use EvaluatePredicateCompressed, which never converts a dense
+/// result.
 WahBitvector EvaluateToWah(const BitmapSource& source, EvalAlgorithm algorithm,
                            CompareOp op, int64_t v, EngineKind engine,
                            EvalStats* stats = nullptr);

@@ -94,9 +94,9 @@ class SelectionPlanner {
   /// Execution knobs for P3's bitmap probes, which run one after another,
   /// each on the engine and lane count these name (exec/segmented_eval.h);
   /// the probed foundsets are combined with the fused k-ary AND kernel
-  /// (Bitvector::AndOfMany).  Compressed engines hand back dense foundsets,
-  /// and RID probes are dense either way.  P2 always probes with the
-  /// defaults.  Foundsets and cost accounting are identical to default
+  /// (Bitvector::AndOfMany).  The compressed engine hands back dense
+  /// foundsets, and RID probes are dense either way.  P2 always probes with
+  /// the defaults.  Foundsets and cost accounting are identical to default
   /// execution in every case.
   void set_exec_options(const ExecOptions& options) { exec_options_ = options; }
   const ExecOptions& exec_options() const { return exec_options_; }

@@ -195,12 +195,11 @@ class StoredIndex {
   /// The bitwise combining runs on the engine `exec` selects (null means
   /// ExecOptions{}): dense record and replay (core/eval.h) on
   /// `exec->num_threads` lanes for kPlain, or the compressed-domain WAH
-  /// engine (exec/wah_engine.h) for kWah/kAuto
-  /// (kWah compresses fetched bitmaps and runs every operation
-  /// run-at-a-time; kAuto decides per operand).  A BS index stored with the
-  /// "wah" codec hands its stored payloads to the WAH engine directly
-  /// (BitmapSource::FetchWah), with no inflate on the fetch path.  Bytes
-  /// read, EvalStats, and the result are identical across engines.
+  /// engine (exec/wah_engine.h) for kAuto, which keeps each fetched bitmap
+  /// compressed or inflates it by its compression ratio.  A BS index stored
+  /// with the "wah" codec hands its stored payloads to the WAH engine
+  /// directly (BitmapSource::FetchWah), with no inflate on the fetch path.
+  /// Bytes read, EvalStats, and the result are identical across engines.
   Bitvector Evaluate(EvalAlgorithm algorithm, CompareOp op, int64_t v,
                      EvalStats* stats = nullptr,
                      double* decompress_seconds = nullptr,

@@ -1,12 +1,12 @@
 // Property harness for the evaluation engines: over random index designs
-// (cardinality, base sequence, encoding, bit density, row count) every
-// engine — plain on one lane and on three, compressed-domain WAH, and the
-// per-operand auto engine — must produce bit-identical foundsets AND
-// identical EvalStats for all six comparison operators at every v in
-// [0, C), against the scan oracle, over both a dense in-memory index and a
-// WAH-compressed source.  Every engine's scan count must also equal the
-// cost model's closed form (ModelScans), the stats reference that does not
-// depend on any evaluator.
+// (cardinality, base sequence, encoding, bit density, row count) both
+// engines — plain on one lane and on three, and the per-operand
+// compressed-domain auto engine, also through EvaluateToWah's compressed
+// result — must produce bit-identical foundsets AND identical EvalStats for
+// all six comparison operators at every v in [0, C), against the scan
+// oracle, over both a dense in-memory index and a WAH-compressed source.
+// Every engine's scan count must also equal the cost model's closed form
+// (ModelScans), the stats reference that does not depend on any evaluator.
 //
 // On a mismatch the harness shrinks the failing design (rows, then
 // cardinality, then components) while the failure reproduces, and prints a
@@ -28,6 +28,7 @@
 #include "core/eval.h"
 #include "core/row_order.h"
 #include "exec/segmented_eval.h"
+#include "exec/wah_engine.h"
 #include "workload/generators.h"
 
 namespace bix {
@@ -108,7 +109,6 @@ bool SweepFails(const Design& d, Mismatch* out) {
   }
 
   const ExecOptions kThreeLanes{.num_threads = 3};
-  const ExecOptions kWahEngine{.engine = EngineKind::kWah};
   const ExecOptions kAutoEngine{.engine = EngineKind::kAuto};
 
   for (CompareOp op : kAllCompareOps) {
@@ -126,8 +126,8 @@ bool SweepFails(const Design& d, Mismatch* out) {
             const ExecOptions* options;
           };
           const Variant variants[] = {{"plain x3 lanes", &kThreeLanes},
-                                      {"wah", &kWahEngine},
-                                      {"auto", &kAutoEngine}};
+                                      {"auto", &kAutoEngine},
+                                      {"auto to-wah", nullptr}};
           auto report = [&](const char* engine, const char* what) {
             std::ostringstream os;
             os << what << ": engine=" << engine << " source="
@@ -149,8 +149,15 @@ bool SweepFails(const Design& d, Mismatch* out) {
           }
           for (const Variant& variant : variants) {
             EvalStats stats;
-            Bitvector got = EvaluatePredicate(*sources[s], alg, op, v,
-                                              *variant.options, &stats);
+            // No options: the auto engine's compressed result
+            // (EvaluateToWah), inflated here for comparison.
+            Bitvector got =
+                variant.options != nullptr
+                    ? EvaluatePredicate(*sources[s], alg, op, v,
+                                        *variant.options, &stats)
+                    : exec::EvaluateToWah(*sources[s], alg, op, v,
+                                          EngineKind::kAuto, &stats)
+                          .ToBitvector();
             if (!perm.empty()) got = RemapToLogical(got, perm);
             if (!(got == expected)) {
               report(variant.name, "foundset diverges from scan oracle");

@@ -239,9 +239,8 @@ ChaosCase RandomCase(std::mt19937_64& rng) {
   c.scheme = schemes[rng() % 3];
   const char* codecs[] = {"none", "rle", "wah"};
   c.codec = codecs[rng() % 3];
-  const EngineKind engines[] = {EngineKind::kPlain, EngineKind::kWah,
-                                EngineKind::kAuto};
-  c.engine = engines[rng() % 3];
+  const EngineKind engines[] = {EngineKind::kPlain, EngineKind::kAuto};
+  c.engine = engines[rng() % 2];
   return c;
 }
 

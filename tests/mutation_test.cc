@@ -258,9 +258,9 @@ TEST(MutableStoredIndex, CleanPassthroughParity) {
   ASSERT_FALSE(index->has_pending());
   std::shared_ptr<const StoredIndex> base = index->base();
 
-  ExecOptions wah_exec;
-  wah_exec.engine = EngineKind::kWah;
-  const ExecOptions* const exec_variants[] = {nullptr, &wah_exec};
+  ExecOptions auto_exec;
+  auto_exec.engine = EngineKind::kAuto;
+  const ExecOptions* const exec_variants[] = {nullptr, &auto_exec};
   for (const ExecOptions* exec : exec_variants) {
     for (const Query& q : RestrictedSelectionQueries(kCardinality)) {
       EvalStats via_mutable, via_base;
@@ -271,7 +271,7 @@ TEST(MutableStoredIndex, CleanPassthroughParity) {
                                       &via_base, nullptr, &s2, exec);
       ASSERT_TRUE(s1.ok() && s2.ok());
       ASSERT_EQ(got, want);
-      EXPECT_EQ(via_mutable, via_base) << "wah=" << (exec != nullptr);
+      EXPECT_EQ(via_mutable, via_base) << "auto=" << (exec != nullptr);
     }
   }
 }

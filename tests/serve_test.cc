@@ -702,7 +702,7 @@ struct ServeFixture {
   // Three columns with distinct designs: a compressed range-encoded BS
   // index, an equality-encoded BS index (exercises sibling-slice keys),
   // and a wah-codec BS index (exercises the compressed FetchWah cache
-  // kind under --engine wah/auto).
+  // kind under kAuto).
   void Build() {
     struct Spec {
       const char* codec;
@@ -755,7 +755,7 @@ struct ServeFixture {
 // one logical scan, like a buffer hit).  Only bytes_read may differ, since
 // a hit reads nothing.
 TEST(ServeDifferentialTest, ConcurrentSharedMatchesSequentialUnshared) {
-  for (EngineKind engine : {EngineKind::kPlain, EngineKind::kWah}) {
+  for (EngineKind engine : {EngineKind::kPlain, EngineKind::kAuto}) {
     SCOPED_TRACE(ToString(engine));
     ServeFixture fx;
     fx.Build();

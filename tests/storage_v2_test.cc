@@ -610,8 +610,8 @@ TEST(StorageV2Test, WahCodecServesCompressedDomainEngineDirectly) {
     ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
                                    StorageScheme::kBitmapLevel, *wah, &stored)
                     .ok());
-    ExecOptions wah_exec;
-    wah_exec.engine = EngineKind::kWah;
+    ExecOptions auto_exec;
+    auto_exec.engine = EngineKind::kAuto;
     ExecOptions plain_exec;
     plain_exec.engine = EngineKind::kPlain;
     int64_t direct_before = CounterValue("storage.wah_direct_fetches");
@@ -619,7 +619,7 @@ TEST(StorageV2Test, WahCodecServesCompressedDomainEngineDirectly) {
       EvalStats wah_stats, plain_stats;
       Status ws, ps;
       Bitvector via_wah = stored->Evaluate(EvalAlgorithm::kAuto, q.op, q.v,
-                                           &wah_stats, nullptr, &ws, &wah_exec);
+                                           &wah_stats, nullptr, &ws, &auto_exec);
       Bitvector via_plain =
           stored->Evaluate(EvalAlgorithm::kAuto, q.op, q.v, &plain_stats,
                            nullptr, &ps, &plain_exec);
@@ -727,7 +727,7 @@ TEST(StorageV2Test, CorruptWahPayloadFallsBackAndFails) {
   FlipByteOnDisk(dir.path() / "idx" / "c0_b5.bm",
                  FileSize(dir.path() / "idx" / "c0_b5.bm") - 1);
   ExecOptions exec;
-  exec.engine = EngineKind::kWah;
+  exec.engine = EngineKind::kAuto;
   Status status;
   Bitvector result = stored->Evaluate(EvalAlgorithm::kAuto, CompareOp::kLe, 5,
                                       nullptr, nullptr, &status, &exec);

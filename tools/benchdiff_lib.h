@@ -26,7 +26,7 @@
 //   - If the two files carry "_meta" rows with differing hostnames, the
 //     machines are not comparable: warn and refuse to gate (exit 0) unless
 //     forced.  Missing metadata on either side downgrades to a warning.
-//     Differing engine names ("plain" vs "wah") refuse the same way —
+//     Differing engine names ("plain" vs "auto") refuse the same way —
 //     engines have different performance envelopes, so folding their
 //     baselines would gate one engine's timings against the other's.
 //

@@ -131,6 +131,17 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+constexpr char kBadEngine[] = "--engine must be plain or auto";
+
+// --engine (default plain); false on any other value.
+bool ParseEngineFlag(const Flags& flags, EngineKind* out) {
+  const std::string engine = flags.GetOr("engine", "plain");
+  if (engine == "plain") *out = EngineKind::kPlain;
+  else if (engine == "auto") *out = EngineKind::kAuto;
+  else return false;
+  return true;
+}
+
 // Engine options from --threads / --engine; nullopt when neither flag is
 // given, so the query runs with the default ExecOptions.
 std::optional<ExecOptions> ExecOptionsFromFlags(const Flags& flags,
@@ -140,16 +151,7 @@ std::optional<ExecOptions> ExecOptionsFromFlags(const Flags& flags,
   ExecOptions options;
   options.num_threads =
       static_cast<int>(flags.GetInt("threads").value_or(1));
-  std::string engine = flags.GetOr("engine", "plain");
-  if (engine == "plain") {
-    options.engine = EngineKind::kPlain;
-  } else if (engine == "wah") {
-    options.engine = EngineKind::kWah;
-  } else if (engine == "auto") {
-    options.engine = EngineKind::kAuto;
-  } else {
-    *bad_engine = true;
-  }
+  *bad_engine = !ParseEngineFlag(flags, &options.engine);
   return options;
 }
 
@@ -175,10 +177,10 @@ int Usage() {
                "[--stats]\n"
                "                 [--trace-out FILE] [--flame-out FILE] "
                "[--threads N]\n"
-               "                 [--engine plain|wah|auto]\n"
+               "                 [--engine plain|auto]\n"
                "  bixctl explain --dir D --pred \"<= 24\" [--analyze] "
                "[--flame-out FILE]\n"
-               "                 [--threads N] [--engine plain|wah|auto]\n"
+               "                 [--threads N] [--engine plain|auto]\n"
                "  bixctl append  --dir D --values \"24,36,null,..\"\n"
                "  bixctl delete  --dir D (--rows \"0,5,..\" | --pred "
                "\"<= 24\")\n"
@@ -425,7 +427,7 @@ int CmdQuery(const Flags& flags) {
   double decompress_seconds = 0;
   bool bad_engine = false;
   std::optional<ExecOptions> exec = ExecOptionsFromFlags(flags, &bad_engine);
-  if (bad_engine) return Fail("--engine must be plain, wah, or auto");
+  if (bad_engine) return Fail(kBadEngine);
   Status eval_status;
   Bitvector found = stored->Evaluate(EvalAlgorithm::kAuto, rank_op, rank_v,
                                      &stats, &decompress_seconds, &eval_status,
@@ -547,7 +549,7 @@ int CmdExplain(const Flags& flags) {
   double decompress_seconds = 0;
   bool bad_engine = false;
   std::optional<ExecOptions> exec = ExecOptionsFromFlags(flags, &bad_engine);
-  if (bad_engine) return Fail("--engine must be plain, wah, or auto");
+  if (bad_engine) return Fail(kBadEngine);
   const bool analyze = flags.Has("analyze");
   auto flame_out = flags.Get("flame-out");
   if (analyze || flame_out) obs::Profiler::Global().Enable();
@@ -866,15 +868,6 @@ int CmdAdvise(const Flags& flags) {
   return 0;
 }
 
-bool ParseEngineFlag(const Flags& flags, EngineKind* out) {
-  std::string engine = flags.GetOr("engine", "plain");
-  if (engine == "plain") *out = EngineKind::kPlain;
-  else if (engine == "wah") *out = EngineKind::kWah;
-  else if (engine == "auto") *out = EngineKind::kAuto;
-  else return false;
-  return true;
-}
-
 double GetDouble(const Flags& flags, const std::string& key, double fallback) {
   auto v = flags.Get(key);
   return v ? std::atof(v->c_str()) : fallback;
@@ -964,7 +957,7 @@ int CmdServe(const Flags& flags) {
       flags.GetInt("deadline-ms").value_or(0) * 1'000'000;
   options.share_operands = !flags.Has("no-share");
   if (!ParseEngineFlag(flags, &options.engine)) {
-    return Fail("--engine must be plain, wah, or auto");
+    return Fail(kBadEngine);
   }
   const size_t batch_size = static_cast<size_t>(
       flags.GetInt("batch").value_or(
@@ -1091,7 +1084,7 @@ int CmdBenchServe(const Flags& flags) {
   if (codec == nullptr) return Fail("unknown --codec");
   EngineKind engine;
   if (!ParseEngineFlag(flags, &engine)) {
-    return Fail("--engine must be plain, wah, or auto");
+    return Fail(kBadEngine);
   }
   if (columns < 1 || rows < 1 || cardinality < 2 || num_queries < 1) {
     return Fail("bad bench-serve dimensions");

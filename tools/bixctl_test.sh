@@ -91,18 +91,22 @@ grep -q "audit:           OK" "$WORK/explain_par.out" \
 cmp -s "$WORK/explain_seq.out" "$WORK/explain_par.out" \
     || fail "parallel explain"
 
-# The compressed-domain engine (and the per-operand auto mode) must also
-# match bit for bit, with a clean cost-model audit.
-"$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --engine wah \
-    | grep -q "6 of 9 records" || fail "wah engine query"
+# The compressed-domain engine must also match bit for bit, with a clean
+# cost-model audit.  plain and auto are the only engines.
+"$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --engine auto \
+    | grep -q "6 of 9 records" || fail "auto engine query (<=)"
 "$BIXCTL" query --dir "$WORK/idx" --pred "!= 199" --engine auto \
-    | grep -q "6 of 9 records" || fail "auto engine query"
-"$BIXCTL" explain --dir "$WORK/idx" --pred "<= 500" --engine wah \
-    > "$WORK/explain_wah.out" || fail "wah explain exit code (audit drift?)"
-grep -q "audit:           OK" "$WORK/explain_wah.out" \
-    || fail "wah explain audit OK"
+    | grep -q "6 of 9 records" || fail "auto engine query (!=)"
+"$BIXCTL" explain --dir "$WORK/idx" --pred "<= 500" --engine auto \
+    > "$WORK/explain_auto.out" || fail "auto explain exit code (audit drift?)"
+grep -q "audit:           OK" "$WORK/explain_auto.out" \
+    || fail "auto explain audit OK"
 "$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --engine bogus \
     > /dev/null 2>&1 && fail "bad engine should fail"
+"$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --engine wah \
+    > "$WORK/engine_wah.out" 2>&1 && fail "--engine wah should fail"
+grep -q "engine must be plain or auto" "$WORK/engine_wah.out" \
+    || fail "--engine wah names the accepted engines"
 
 # Fault tolerance: freshly built indexes are manifest-verified; verify
 # checks every file's checksums; scrub proves injected corruption of the
@@ -131,7 +135,7 @@ grep -q "CORRUPT" "$WORK/verify_rot.out" || fail "verify names rotted file"
 # compressed-domain engine directly (no inflate on the fetch path).
 "$BIXCTL" build --csv "$WORK/data.csv" --col 0 --dir "$WORK/idx_wah" \
     --codec wah --scheme bs > /dev/null
-"$BIXCTL" query --dir "$WORK/idx_wah" --pred "<= 500" --engine wah --stats \
+"$BIXCTL" query --dir "$WORK/idx_wah" --pred "<= 500" --engine auto --stats \
     > "$WORK/q_wah.out"
 grep -q "6 of 9 records" "$WORK/q_wah.out" || fail "wah-codec query rows"
 grep -Eq "storage\.wah_direct_fetches [1-9]" "$WORK/q_wah.out" \
@@ -144,7 +148,7 @@ grep -q "<28, 36>" "$WORK/advise.out" || fail "advise knee base"
 # Profiling: explain --analyze prints a span tree whose rows carry wall
 # times and counters, for every engine and under threads.  The root row is
 # "query" and the per-component fetches appear as children.
-for eng in plain wah auto; do
+for eng in plain auto; do
   "$BIXCTL" explain --dir "$WORK/idx" --pred "<= 500" --analyze \
       --engine "$eng" > "$WORK/analyze_$eng.out" \
       || fail "explain --analyze --engine $eng exit code"
