@@ -285,7 +285,8 @@ class ProfileConservationTest : public ::testing::TestWithParam<ExecOptions> {
 // bytes all flow through the profiled fetch path; CS/IS preload in the
 // source constructor before spans exist.)  A multi-lane instance gets three
 // full replay segments plus a partial one, so pool lanes replay some of them
-// and attribute through ProfAdopt.
+// and attribute through ProfAdopt; the auto engine ignores the lane count,
+// so its multi-lane instance must conserve without touching the pool.
 TEST_P(ProfileConservationTest, RootCountersMatchRegistryDelta) {
   const ExecOptions exec = GetParam();
 
@@ -349,6 +350,9 @@ TEST_P(ProfileConservationTest, RootCountersMatchRegistryDelta) {
   if (exec.engine == EngineKind::kPlain && exec.num_threads > 1) {
     EXPECT_GT(speedup.value(), 0) << "the replay never reached the pool";
   }
+  if (exec.engine == EngineKind::kAuto) {
+    EXPECT_EQ(speedup.value(), 0) << "the auto engine ran on the pool";
+  }
 }
 
 ExecOptions MakeExec(EngineKind engine, int threads) {
@@ -362,7 +366,8 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, ProfileConservationTest,
     ::testing::Values(MakeExec(EngineKind::kPlain, 1),
                       MakeExec(EngineKind::kPlain, 4),
-                      MakeExec(EngineKind::kAuto, 1)),
+                      MakeExec(EngineKind::kAuto, 1),
+                      MakeExec(EngineKind::kAuto, 4)),
     [](const ::testing::TestParamInfo<ExecOptions>& info) {
       return std::string(ToString(info.param.engine)) + "_t" +
              std::to_string(info.param.num_threads);
