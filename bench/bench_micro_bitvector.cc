@@ -157,6 +157,35 @@ void BM_ComputeRowOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeRowOrder)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+void BM_ComputeMultiColumnRowOrder(benchmark::State& state) {
+  // The sorted multi-column build's sort: 1M rows over TPC-D lineitem's
+  // four cardinalities (l_quantity 50, l_discount 11, l_tax 9, l_shipdate
+  // 2526), uniform, with every 50th l_tax row NULL; range(0) picks lex (0)
+  // or Gray (1).
+  const size_t rows = 1 << 20;
+  const bix::RowOrder order =
+      state.range(0) == 0 ? bix::RowOrder::kLex : bix::RowOrder::kGray;
+  const uint32_t cardinalities[] = {50, 11, 9, 2526};
+  std::mt19937_64 rng(8);
+  std::vector<std::vector<uint32_t>> values(4, std::vector<uint32_t>(rows));
+  for (size_t c = 0; c < 4; ++c) {
+    for (size_t i = 0; i < rows; ++i) {
+      values[c][i] = c == 2 && i % 50 == 0
+                         ? bix::kNullValue
+                         : static_cast<uint32_t>(rng() % cardinalities[c]);
+    }
+  }
+  std::vector<bix::OrderColumn> columns;
+  for (size_t c = 0; c < 4; ++c) columns.push_back({values[c], cardinalities[c]});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bix::ComputeMultiColumnRowOrder(columns, order));
+  }
+}
+BENCHMARK(BM_ComputeMultiColumnRowOrder)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 // Console reporter that also captures each result as a schema row.  The
 // benchmark name's slash-separated arguments become params {"arg0": ...}.
 // (Deriving from ConsoleReporter keeps this a display reporter — the

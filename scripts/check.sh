@@ -49,7 +49,10 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   # designs through the row-reordering pass (Design::sort), and the
   # row-order suite fuzzes the permutation sidecar codec — remap and
   # decode paths are pure pointer arithmetic over untrusted lengths,
-  # exactly where sanitizers earn their keep.
+  # exactly where sanitizers earn their keep.  The row-order suite also
+  # drives the counting passes of both row orders, whose histogram and
+  # scatter arrays are indexed by rank, against a comparison sort (up to
+  # 100000 rows) and past-cardinality ranks that must abort first.
   cmake -B build-asan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

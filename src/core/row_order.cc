@@ -11,17 +11,72 @@ namespace bix {
 
 namespace {
 
-/// Reflected mixed-radix Gray comparison of two digit tuples (most-
-/// significant digit first).  Odd digits flip the direction of every
-/// less-significant position — the classic reflection that makes
-/// neighboring tuples differ in one digit by one step.
-bool GrayLess(const uint32_t* a, const uint32_t* b, size_t width) {
-  bool descending = false;
-  for (size_t i = 0; i < width; ++i) {
-    if (a[i] != b[i]) return descending ? a[i] > b[i] : a[i] < b[i];
-    if (a[i] & 1) descending = !descending;
+/// Stable sort of the rows [0, n) by the digit tuple `columns` spell,
+/// columns[0] most significant; a row's digit is its rank, NULL taking
+/// `cardinality` (one past the largest rank).  kLex orders the tuples
+/// lexicographically; kGray by the reflected mixed-radix Gray code: a
+/// digit's direction flips when the parity of the row's more significant
+/// digits is odd, so neighboring tuples differ in one digit by one step.
+///
+/// One counting pass per column, least significant first (LSD radix):
+/// each pass is stable, so rows tied on its key keep the order the less
+/// significant passes gave them, and the result equals a stable
+/// comparison sort over the tuples.  Under kGray a pass keys on
+/// `cardinality - d` instead of `d` when the prefix parity is odd, which
+/// reverses the column exactly where the comparison would.  Scratch: the
+/// pass's keys and the scatter target (n words each), one parity byte per
+/// row under kGray, and cardinality + 2 counters.
+std::vector<uint32_t> DigitSort(std::span<const OrderColumn> columns,
+                                size_t n, RowOrder order) {
+  if (n == 0) return {};
+  auto digit = [](const OrderColumn& col, size_t r) -> uint32_t {
+    const uint32_t v = col.values[r];
+    if (v == kNullValue) return col.cardinality;
+    BIX_CHECK_MSG(v < col.cardinality, "value rank out of range");
+    return v;
+  };
+  // parity[r] starts as the parity of all of row r's digits; each pass
+  // strips its own digit, leaving the parity of the more significant
+  // prefix that decides whether the digit reflects.
+  const bool gray = order == RowOrder::kGray;
+  std::vector<uint8_t> parity;
+  if (gray) {
+    parity.assign(n, 0);
+    for (const OrderColumn& col : columns) {
+      for (size_t r = 0; r < n; ++r) parity[r] ^= digit(col, r) & 1;
+    }
   }
-  return false;
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<uint32_t> scattered(n);
+  std::vector<uint32_t> key(n);
+  std::vector<uint32_t> next;
+  for (size_t i = columns.size(); i-- > 0;) {
+    const OrderColumn& col = columns[i];
+    next.assign(static_cast<size_t>(col.cardinality) + 2, 0);
+    for (size_t r = 0; r < n; ++r) {
+      uint32_t d = digit(col, r);
+      if (gray) {
+        const uint8_t odd = parity[r] ^ (d & 1);
+        parity[r] = odd;
+        // Reflect without a branch: on mixed data the parity is a coin
+        // flip, and a branch on it mispredicts on half the rows.
+        const uint32_t reflect = 0u - odd;
+        d ^= reflect & (d ^ (col.cardinality - d));
+      }
+      key[r] = d;
+      ++next[d + 1];
+    }
+    // Every row in one bucket: a stable pass would leave perm as it is.
+    if (next[key[0] + 1] == n) continue;
+    for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+    for (size_t p = 0; p < n; ++p) {
+      const uint32_t r = perm[p];
+      scattered[next[key[r]]++] = r;
+    }
+    perm.swap(scattered);
+  }
+  return perm;
 }
 
 }  // namespace
@@ -65,21 +120,22 @@ std::vector<uint32_t> ComputeRowOrder(std::span<const uint32_t> values,
   if (order == RowOrder::kGray) {
     // Order by the digit tuple the index will actually store, most-
     // significant component first, so run formation reaches every
-    // component.
+    // component.  digits[i] holds the i-th most significant digit of
+    // every value.
     const size_t width = static_cast<size_t>(base.num_components());
-    std::vector<uint32_t> digits(c * width);
+    std::vector<std::vector<uint32_t>> digits(width, std::vector<uint32_t>(c));
     std::vector<uint32_t> scratch;
     for (size_t v = 0; v < c; ++v) {
       base.Decompose(v, &scratch);  // least-significant first
-      for (size_t i = 0; i < width; ++i) {
-        digits[v * width + i] = scratch[width - 1 - i];
-      }
+      for (size_t i = 0; i < width; ++i) digits[i][v] = scratch[width - 1 - i];
     }
-    std::vector<uint32_t> by_gray(c);
-    std::iota(by_gray.begin(), by_gray.end(), 0);
-    std::sort(by_gray.begin(), by_gray.end(), [&](uint32_t a, uint32_t b) {
-      return GrayLess(&digits[a * width], &digits[b * width], width);
-    });
+    std::vector<OrderColumn> components;
+    for (size_t i = 0; i < width; ++i) {
+      components.push_back(
+          {digits[i], base.base(static_cast<int>(width - 1 - i))});
+    }
+    const std::vector<uint32_t> by_gray =
+        DigitSort(components, c, RowOrder::kGray);
     for (size_t i = 0; i < c; ++i) bucket[by_gray[i]] = static_cast<uint32_t>(i);
   }
   auto bucket_of = [&](uint32_t v) -> size_t {
@@ -112,10 +168,9 @@ std::vector<size_t> HistogramColumnOrder(
     // Bucket cardinality holds the NULLs.
     std::vector<size_t> counts(static_cast<size_t>(col.cardinality) + 1, 0);
     for (uint32_t v : col.values) {
-      const size_t bucket =
-          v == kNullValue ? col.cardinality : static_cast<size_t>(v);
-      BIX_CHECK_MSG(bucket <= col.cardinality, "value rank out of range");
-      ++counts[bucket];
+      BIX_CHECK_MSG(v == kNullValue || v < col.cardinality,
+                    "value rank out of range");
+      ++counts[v == kNullValue ? col.cardinality : static_cast<size_t>(v)];
     }
     ColumnStat s;
     s.index = i;
@@ -148,33 +203,11 @@ std::vector<uint32_t> ComputeMultiColumnRowOrder(
   for (const OrderColumn& col : columns) {
     BIX_CHECK_MSG(col.values.size() == n, "column lengths differ");
   }
-  const std::vector<size_t> col_order = HistogramColumnOrder(columns);
-
-  // Each column contributes one mixed-radix digit; NULL sorts as one past
-  // the largest rank so it lands last within its column position.
-  const size_t width = columns.size();
-  std::vector<uint32_t> digits(n * width);
-  for (size_t i = 0; i < width; ++i) {
-    const OrderColumn& col = columns[col_order[i]];
-    for (size_t r = 0; r < n; ++r) {
-      digits[r * width + i] =
-          col.values[r] == kNullValue ? col.cardinality : col.values[r];
-    }
+  std::vector<OrderColumn> by_significance;
+  for (size_t i : HistogramColumnOrder(columns)) {
+    by_significance.push_back(columns[i]);
   }
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  if (order == RowOrder::kLex) {
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return std::lexicographical_compare(
-          &digits[a * width], &digits[a * width] + width, &digits[b * width],
-          &digits[b * width] + width);
-    });
-  } else {
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return GrayLess(&digits[a * width], &digits[b * width], width);
-    });
-  }
-  return perm;
+  return DigitSort(by_significance, n, order);
 }
 
 bool IsIdentityPermutation(std::span<const uint32_t> perm) {

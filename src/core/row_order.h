@@ -53,15 +53,20 @@ bool ParseRowOrder(std::string_view name, RowOrder* out);
 /// allowed; NULLs sort last; every other rank must be below
 /// `cardinality`).  Returns perm with perm[physical] = logical; empty for
 /// kNone.  The sort is stable, so equal keys keep insertion order and the
-/// result is deterministic.  It is a counting sort over the C ranks:
-/// O(n + C log C) time and O(C) scratch beyond the permutation.
+/// result is deterministic.  It is a counting sort over the C ranks: one
+/// histogram pass and one scatter pass over the rows after ranking the C
+/// values, O(n + C · width + Σ b_i) time for a base of `width` components
+/// b_i.  Scratch beyond the permutation is O(C) for kLex and O(C · width)
+/// for kGray, which holds the C ranks' digits while it ranks them.
 ///
 /// kLex orders by the rank itself.  kGray decomposes each rank into the
 /// base sequence's digits (most-significant first) and orders by the
 /// reflected mixed-radix Gray code: whenever the prefix parity is odd the
 /// next digit's direction flips, so consecutive rows differ in few digits
 /// and every component's bitmaps — not just the most significant one —
-/// see long runs.
+/// see long runs.  The C values are ranked in that order by the same
+/// stable digit sort ComputeMultiColumnRowOrder runs, one counting pass
+/// per component.
 std::vector<uint32_t> ComputeRowOrder(std::span<const uint32_t> values,
                                       uint32_t cardinality,
                                       const BaseSequence& base,
@@ -77,13 +82,22 @@ struct OrderColumn {
 /// with fewer distinct values first — their runs survive the longest under
 /// a lexicographic sort — breaking ties toward the more skewed histogram
 /// (larger top-1 frequency), then input position.  Returns column indices
-/// in comparison order.
+/// in comparison order.  Aborts with "value rank out of range" on a
+/// non-NULL rank at or past its column's cardinality.
 std::vector<size_t> HistogramColumnOrder(std::span<const OrderColumn> columns);
 
-/// Multi-attribute sort permutation: compares rows column by column in
+/// Multi-attribute sort permutation: orders rows column by column in
 /// HistogramColumnOrder, each column's rank acting as one mixed-radix
-/// digit (kGray applies the reflected-parity rule across columns).  All
-/// columns must have equal length.
+/// digit with NULL one past the largest rank (kGray applies the
+/// reflected-parity rule across columns).  All columns must have equal
+/// length, and a non-NULL rank at or past its column's cardinality aborts
+/// with "value rank out of range".  The sort is stable, so rows with equal
+/// digit tuples keep insertion order.  It is an LSD radix sort, one
+/// counting pass per column with the least significant first:
+/// O(n · width + Σ cardinalities) time; scratch beyond the permutation is
+/// two n-word arrays (the pass's keys and the scatter target), one parity
+/// byte per row under kGray, and one counter per rank of the column in
+/// flight.
 std::vector<uint32_t> ComputeMultiColumnRowOrder(
     std::span<const OrderColumn> columns, RowOrder order);
 

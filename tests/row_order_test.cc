@@ -199,6 +199,19 @@ TEST(RowOrderTest, IdentityPermutationDetection) {
 
 // --- ComputeRowOrder against a comparison sort ---------------------------
 
+// Reflected mixed-radix Gray comparison of two digit tuples (most-
+// significant digit first): an odd matched digit flips the direction of
+// every less-significant position.  The comparison both row orders must
+// reproduce.
+bool GrayLess(const uint32_t* a, const uint32_t* b, size_t width) {
+  bool descending = false;
+  for (size_t i = 0; i < width; ++i) {
+    if (a[i] != b[i]) return descending ? a[i] > b[i] : a[i] < b[i];
+    if (a[i] & 1) descending = !descending;
+  }
+  return false;
+}
+
 // The comparison-sort formulation ComputeRowOrder must reproduce exactly: a
 // stable sort of row ids with NULLs last, ordered by rank (lex) or by the
 // reflected mixed-radix Gray code of the rank's digits, most-significant
@@ -217,16 +230,6 @@ std::vector<uint32_t> ReferenceRowOrder(const std::vector<uint32_t>& values,
       digits[r * width + i] = lsb_first[width - 1 - i];
     }
   }
-  auto gray_less = [&](uint32_t a, uint32_t b) {
-    bool descending = false;
-    for (size_t i = 0; i < width; ++i) {
-      const uint32_t da = digits[a * width + i];
-      const uint32_t db = digits[b * width + i];
-      if (da != db) return descending ? da > db : da < db;
-      if (da & 1) descending = !descending;
-    }
-    return false;
-  };
   std::vector<uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
   std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
@@ -234,7 +237,9 @@ std::vector<uint32_t> ReferenceRowOrder(const std::vector<uint32_t>& values,
     const bool b_null = values[b] == kNullValue;
     if (a_null != b_null) return b_null;
     if (a_null) return false;
-    return order == RowOrder::kLex ? values[a] < values[b] : gray_less(a, b);
+    return order == RowOrder::kLex
+               ? values[a] < values[b]
+               : GrayLess(&digits[a * width], &digits[b * width], width);
   });
   return perm;
 }
@@ -289,6 +294,112 @@ TEST(RowOrderTest, CountingSortMatchesComparisonSort) {
     EXPECT_EQ(perm, ReferenceRowOrder(all_null, BaseWithComponents(7, 2),
                                       order));
     EXPECT_TRUE(IsIdentityPermutation(perm));
+  }
+}
+
+// The comparison-sort formulation ComputeMultiColumnRowOrder must
+// reproduce exactly: one digit per column in HistogramColumnOrder (NULL as
+// one past the largest rank), then a stable sort of row ids by the digit
+// tuples, lexicographic or reflected Gray.
+std::vector<uint32_t> ReferenceMultiColumnRowOrder(
+    const std::vector<OrderColumn>& columns, RowOrder order) {
+  if (columns.empty() || columns[0].values.empty()) return {};
+  const size_t n = columns[0].values.size();
+  const size_t width = columns.size();
+  const std::vector<size_t> col_order = HistogramColumnOrder(columns);
+  std::vector<uint32_t> digits(n * width);
+  for (size_t i = 0; i < width; ++i) {
+    const OrderColumn& col = columns[col_order[i]];
+    for (size_t r = 0; r < n; ++r) {
+      digits[r * width + i] =
+          col.values[r] == kNullValue ? col.cardinality : col.values[r];
+    }
+  }
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    const uint32_t* da = &digits[a * width];
+    const uint32_t* db = &digits[b * width];
+    return order == RowOrder::kLex
+               ? std::lexicographical_compare(da, da + width, db, db + width)
+               : GrayLess(da, db, width);
+  });
+  return perm;
+}
+
+TEST(RowOrderTest, MultiColumnCountingSortMatchesComparisonSort) {
+  std::mt19937_64 rng(997);
+  // Column shapes, taken in prefix order for widths 1-5.  The two
+  // cardinality-2 columns share their distinct count (the uniform one is
+  // flatter, the skewed one has the larger top bucket), so the histogram
+  // tie-break decides their order; at n = 1 every column ties outright and
+  // input position decides.
+  struct Shape {
+    uint32_t cardinality;
+    bool skewed;
+  };
+  const Shape shapes[] = {{2526, false}, {2, false}, {1, false}, {2, true},
+                          {50, false}};
+  auto make_column = [&](const Shape& shape, size_t n, int null_period) {
+    std::vector<uint32_t> values(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (null_period > 0 && rng() % null_period == 0) {
+        values[r] = kNullValue;
+      } else if (shape.skewed) {
+        values[r] = rng() % 10 == 0 ? 1 : 0;
+      } else {
+        values[r] = static_cast<uint32_t>(rng() % shape.cardinality);
+      }
+    }
+    return values;
+  };
+  auto expect_match = [&](const std::vector<OrderColumn>& columns,
+                          const std::string& label) {
+    for (RowOrder order : {RowOrder::kLex, RowOrder::kGray}) {
+      ASSERT_EQ(ComputeMultiColumnRowOrder(columns, order),
+                ReferenceMultiColumnRowOrder(columns, order))
+          << label << " " << ToString(order);
+    }
+  };
+  for (size_t width = 1; width <= 5; ++width) {
+    for (size_t n : {0u, 1u, 17u, 65u, 100000u}) {
+      for (int null_period : {0, 5}) {
+        std::vector<std::vector<uint32_t>> values;
+        std::vector<OrderColumn> columns;
+        for (size_t i = 0; i < width; ++i) {
+          values.push_back(make_column(shapes[i], n, null_period));
+        }
+        for (size_t i = 0; i < width; ++i) {
+          columns.push_back({values[i], shapes[i].cardinality});
+        }
+        expect_match(columns, "width=" + std::to_string(width) +
+                                  " n=" + std::to_string(n) +
+                                  " nulls=" + std::to_string(null_period));
+      }
+    }
+  }
+  // An all-NULL column: one digit value (its cardinality) on every row.
+  for (size_t n : {1u, 17u, 65u, 100000u}) {
+    const std::vector<uint32_t> all_null(n, kNullValue);
+    const std::vector<uint32_t> a = make_column({3, false}, n, 5);
+    const std::vector<uint32_t> b = make_column({2526, false}, n, 0);
+    expect_match({{b, 2526}, {all_null, 7}, {a, 3}},
+                 "all-NULL n=" + std::to_string(n));
+  }
+}
+
+TEST(RowOrderTest, MultiColumnRejectsRankAtOrPastCardinality) {
+  const std::vector<uint32_t> ok = {0, 1, 2, kNullValue};
+  for (uint32_t bad_rank : {5u, 6u}) {
+    const std::vector<uint32_t> bad = {0, bad_rank, kNullValue, 4};
+    const std::vector<OrderColumn> columns = {{ok, 3}, {bad, 5}};
+    EXPECT_DEATH(HistogramColumnOrder(columns), "value rank out of range")
+        << "rank " << bad_rank;
+    for (RowOrder order : {RowOrder::kLex, RowOrder::kGray}) {
+      EXPECT_DEATH(ComputeMultiColumnRowOrder(columns, order),
+                   "value rank out of range")
+          << "rank " << bad_rank << " " << ToString(order);
+    }
   }
 }
 
