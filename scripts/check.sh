@@ -17,6 +17,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# configure DIR [cmake args...]: Ninja for a fresh tree; an existing tree
+# keeps its generator, because CMake refuses to switch one in place
+# ("generator : Ninja Does not match"), e.g. a build/ configured earlier by
+# a plain `cmake -B build -S .` with Makefiles.
+configure() {
+  local dir="$1"
+  shift
+  if [[ -f "$dir/CMakeCache.txt" ]]; then
+    cmake -B "$dir" "$@"
+  else
+    cmake -B "$dir" -G Ninja "$@"
+  fi
+}
+
 RUN_MAIN=1
 RUN_ASAN=1
 RUN_TSAN=1
@@ -42,7 +56,7 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   # cross-check the plain engine on one lane and on three and the
   # compressed-domain engine for bit equality and EvalStats parity in a
   # few seconds.
-  cmake -B build -G Ninja
+  configure build
   cmake --build build --target bix_differential_tests
   ctest --test-dir build -L differential --output-on-failure
   # Sorted-index axis under ASan + UBSan: the engine harness re-runs its
@@ -53,7 +67,7 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   # drives the counting passes of both row orders, whose histogram and
   # scatter arrays are indexed by rank, against a comparison sort (up to
   # 100000 rows) and past-cardinality ranks that must abort first.
-  cmake -B build-asan -G Ninja \
+  configure build-asan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target bix_tests bix_differential_tests
@@ -68,7 +82,7 @@ if [[ "$RUN_CHAOS" == 1 ]]; then
   # unit tests, built with ASan + UBSan — fault paths exercise error
   # handling and reconstruction code that rarely runs otherwise, exactly
   # where lifetime bugs hide.
-  cmake -B build-asan -G Ninja \
+  configure build-asan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target bix_tests bix_differential_tests
@@ -86,7 +100,7 @@ if [[ "$RUN_MUTATE" == 1 ]]; then
   # through parsing and repair, exactly where overreads hide.  The sorted
   # mutable-index tests ride along: Delete's logical-to-physical tombstone
   # pass and the resort compaction index straight through the permutation.
-  cmake -B build-asan -G Ninja \
+  configure build-asan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target bix_tests bix_mutation_tests
@@ -101,7 +115,7 @@ if [[ "$RUN_SERVE" == 1 ]]; then
   # the served-read chaos tests (faults firing inside served queries),
   # under ThreadSanitizer — the single-flight fetch and the cross-query
   # sharing are exactly the code TSan exists for.
-  cmake -B build-tsan -G Ninja \
+  configure build-tsan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target bix_tests bix_differential_tests
@@ -119,8 +133,7 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
   # the bench runs outside the repo.  benchdiff refuses to gate when the
   # baseline was recorded on a different host — regenerate baselines on
   # this machine (scripts/check.sh main lane does) before relying on it.
-  # No -G: reuse however build/ is already configured (Ninja or Make).
-  cmake -B build
+  configure build
   cmake --build build --target bench_wah_merge bench_wah_ablation benchdiff \
       bixctl
   BIX_GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
@@ -148,7 +161,7 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
 fi
 
 if [[ "$RUN_MAIN" == 1 ]]; then
-  cmake -B build -G Ninja
+  configure build
   cmake --build build
 
   # Every counting path goes through the inline PopCount64 kernel
@@ -213,7 +226,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # the full suite, which includes the label-"differential" engine harness
   # and WAH codec fuzz tests.  Benchmarks are excluded (timings are
   # meaningless under instrumentation).
-  cmake -B build-asan -G Ninja \
+  configure build-asan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan
@@ -225,7 +238,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # multi-lane record and replay and concurrent queries on one source (the
   # *Segmented* tests), and the serve layer.  The full suite is ~10x slower
   # under TSan, so only the tests that actually spawn threads run here.
-  cmake -B build-tsan -G Ninja \
+  configure build-tsan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target bix_tests bix_differential_tests \

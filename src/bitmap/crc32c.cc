@@ -1,6 +1,7 @@
 #include "bitmap/crc32c.h"
 
 #include <array>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <nmmintrin.h>
@@ -90,6 +91,40 @@ __attribute__((target("sse4.2"))) uint32_t HardwareUpdate(uint32_t state,
   return state;
 }
 
+__attribute__((target("sse4.2"))) void HardwareUpdate2(uint32_t* a,
+                                                       uint32_t* b,
+                                                       const uint8_t* data,
+                                                       size_t n) {
+  // The CRC32 instruction has a multi-cycle latency but single-cycle
+  // throughput, so a second independent chain over the same loads runs in
+  // the first one's shadow.
+  uint32_t sa = *a;
+  uint32_t sb = *b;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(data) & 7) != 0) {
+    sa = _mm_crc32_u8(sa, *data);
+    sb = _mm_crc32_u8(sb, *data++);
+    --n;
+  }
+  uint64_t a64 = sa;
+  uint64_t b64 = sb;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, 8);
+    a64 = _mm_crc32_u64(a64, word);
+    b64 = _mm_crc32_u64(b64, word);
+    data += 8;
+    n -= 8;
+  }
+  sa = static_cast<uint32_t>(a64);
+  sb = static_cast<uint32_t>(b64);
+  while (n-- > 0) {
+    sa = _mm_crc32_u8(sa, *data);
+    sb = _mm_crc32_u8(sb, *data++);
+  }
+  *a = sa;
+  *b = sb;
+}
+
 bool HardwareAvailable() {
   static const bool available = __builtin_cpu_supports("sse4.2");
   return available;
@@ -99,6 +134,12 @@ bool HardwareAvailable() {
 
 uint32_t HardwareUpdate(uint32_t state, const uint8_t* data, size_t n) {
   return PortableUpdate(state, data, n);
+}
+
+void HardwareUpdate2(uint32_t* a, uint32_t* b, const uint8_t* data,
+                     size_t n) {
+  *a = PortableUpdate(*a, data, n);
+  *b = PortableUpdate(*b, data, n);
 }
 
 bool HardwareAvailable() { return false; }
@@ -114,6 +155,20 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
               ? crc32c_internal::HardwareUpdate(state, bytes, n)
               : crc32c_internal::PortableUpdate(state, bytes, n);
   return state ^ 0xFFFFFFFFu;
+}
+
+void Crc32cExtend2(uint32_t* a, uint32_t* b, const void* data, size_t n) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint32_t sa = *a ^ 0xFFFFFFFFu;
+  uint32_t sb = *b ^ 0xFFFFFFFFu;
+  if (crc32c_internal::HardwareAvailable()) {
+    crc32c_internal::HardwareUpdate2(&sa, &sb, bytes, n);
+  } else {
+    sa = crc32c_internal::PortableUpdate(sa, bytes, n);
+    sb = crc32c_internal::PortableUpdate(sb, bytes, n);
+  }
+  *a = sa ^ 0xFFFFFFFFu;
+  *b = sb ^ 0xFFFFFFFFu;
 }
 
 uint32_t Crc32c(const void* data, size_t n) {

@@ -28,6 +28,14 @@ uint32_t Crc32c(const void* data, size_t n);
 /// and chaining over a split buffer equals the one-shot checksum.
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
 
+/// Two-chain form: extends `*a` and `*b` (each a previous Crc32c result, or
+/// 0 to start) with the same `n` bytes in one pass.  Each 8-byte load feeds
+/// both chains, and the hardware kernel runs them as independent dependency
+/// chains, so the pair costs about one pass: the storage layer checks a
+/// file's whole-file CRC and its block CRCs this way.  Equivalent to
+/// `*a = Crc32cExtend(*a, data, n); *b = Crc32cExtend(*b, data, n);`.
+void Crc32cExtend2(uint32_t* a, uint32_t* b, const void* data, size_t n);
+
 namespace crc32c_internal {
 
 /// True when the SSE4.2 hardware kernel is in use on this CPU.
@@ -37,6 +45,10 @@ bool HardwareAvailable();
 /// length.  Both take and return the *inverted* running state.
 uint32_t PortableUpdate(uint32_t state, const uint8_t* data, size_t n);
 uint32_t HardwareUpdate(uint32_t state, const uint8_t* data, size_t n);
+
+/// The hardware two-chain kernel behind Crc32cExtend2, on inverted states
+/// (the portable path runs PortableUpdate once per chain).
+void HardwareUpdate2(uint32_t* a, uint32_t* b, const uint8_t* data, size_t n);
 
 }  // namespace crc32c_internal
 

@@ -1,6 +1,7 @@
 #include "bitmap/wah_bitvector.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "bitmap/wah_run_decoder.h"
 #include "core/check.h"
@@ -71,35 +72,49 @@ WahBitvector WahBitvector::FromBitvector(const Bitvector& dense) {
   return out;
 }
 
-bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
-                                    size_t num_bits, WahBitvector* out) {
+namespace {
+
+// The structural check behind TryFromCodeWords.  Every word adds its groups
+// without a branch on its kind (a fill its count, a literal one), and
+// zero-count fills are OR-ed into a flag: on noisy bitmaps a per-word
+// fill/literal branch mispredicts.  Since every accepted word adds at least
+// one group, the word that completes the final group is the last one, so
+// the partial-group rules are checked once, on the last word.
+bool ValidCodeWords(std::span<const uint32_t> words, size_t num_bits) {
   const uint64_t want_groups = (num_bits + kGroupBits - 1) / kGroupBits;
   uint64_t groups = 0;
-  for (size_t i = 0; i < words.size(); ++i) {
-    uint32_t word = words[i];
-    if (IsFill(word)) {
-      if (FillCount(word) == 0) return false;
-      groups += FillCount(word);
-    } else {
-      ++groups;
-      // The final group may be partial; bits past num_bits must be clear.
-      if (groups == want_groups) {
-        uint32_t tail = static_cast<uint32_t>(
-            num_bits - (want_groups - 1) * kGroupBits);
-        if (tail < kGroupBits && (word >> tail) != 0) return false;
-      }
-    }
-    if (groups > want_groups) return false;
+  uint32_t zero_fill = 0;
+  for (uint32_t word : words) {
+    const uint32_t fill = word >> 31;
+    const uint32_t count = FillCount(word);
+    groups += (count & (0u - fill)) | (fill ^ 1u);
+    zero_fill |= fill & static_cast<uint32_t>(count == 0);
   }
-  if (groups != want_groups) return false;
-  // A trailing ones-fill over a partial final group would assert bits past
-  // num_bits; reject it (the canonical encoder never emits one uncleared).
-  if (num_bits % kGroupBits != 0 && !words.empty() && IsFill(words.back()) &&
-      FillValue(words.back())) {
-    return false;
-  }
+  if (zero_fill != 0 || groups != want_groups) return false;
+  const uint32_t tail = static_cast<uint32_t>(num_bits % kGroupBits);
+  if (tail == 0) return true;  // also covers the empty stream
+  const uint32_t last = words.back();
+  // A ones fill over the partial final group would assert bits past
+  // num_bits (the canonical encoder never emits one); a final literal must
+  // keep those bits clear.
+  return IsFill(last) ? !FillValue(last) : (last >> tail) == 0;
+}
+
+}  // namespace
+
+bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
+                                    size_t num_bits, WahBitvector* out) {
+  if (!ValidCodeWords(words, num_bits)) return false;
   out->num_bits_ = num_bits;
   out->words_.assign(words.begin(), words.end());
+  return true;
+}
+
+bool WahBitvector::TryFromCodeWords(std::vector<uint32_t>&& words,
+                                    size_t num_bits, WahBitvector* out) {
+  if (!ValidCodeWords(words, num_bits)) return false;
+  out->num_bits_ = num_bits;
+  out->words_ = std::move(words);
   return true;
 }
 

@@ -40,6 +40,10 @@ class WahBitvector {
   /// malformed input, leaving `*out` untouched.
   static bool TryFromCodeWords(std::span<const uint32_t> words,
                                size_t num_bits, WahBitvector* out);
+  /// Same check; on success `words` moves into `*out` instead of being
+  /// copied (on failure it is left as it was).
+  static bool TryFromCodeWords(std::vector<uint32_t>&& words, size_t num_bits,
+                               WahBitvector* out);
 
   /// The all-`value` vector of `num_bits` bits (a single fill run; the
   /// compressed analogue of Bitvector::Zeros / Ones).

@@ -1,6 +1,7 @@
 #include "compress/wah_codec.h"
 
 #include <cstring>
+#include <utility>
 
 namespace bix {
 
@@ -32,8 +33,8 @@ bool WahCodec::DecodeToWah(std::span<const uint8_t> payload,
   if (!words.empty()) {
     std::memcpy(words.data(), payload.data() + 8, words.size() * 4);
   }
-  return WahBitvector::TryFromCodeWords(words, static_cast<size_t>(num_bits),
-                                        out);
+  return WahBitvector::TryFromCodeWords(std::move(words),
+                                        static_cast<size_t>(num_bits), out);
 }
 
 std::vector<uint8_t> WahCodec::Compress(std::span<const uint8_t> data) const {

@@ -4,8 +4,9 @@
 // compressed-domain engine's operand format: a bitmap-level (BS) index
 // stored with this codec can hand its payload straight to
 // BitmapSource::FetchWah as a WahBitvector — zero decompression on the
-// fetch path.  Generic readers (other schemes, the dense engine) still
-// Decompress to raw bytes like any codec.
+// fetch path.  The dense engine's BS fetches parse the same way and inflate
+// with WahBitvector::ToBitvector; only the CS/IS schemes Decompress to raw
+// bytes like any codec.
 //
 // Payload layout: u64 num_bits (little-endian) then the u32 code words.
 // Compress treats its input as a bit string of 8 * size bits; the storage
@@ -37,9 +38,10 @@ class WahCodec final : public Codec {
   /// Encodes an exact-length bitvector (the BS write path).
   static std::vector<uint8_t> EncodeBits(const Bitvector& bits);
 
-  /// Parses a payload into the compressed form without inflating it.
-  /// Validates structure (see WahBitvector::TryFromCodeWords); returns
-  /// false on malformed input.
+  /// Parses a payload into the compressed form without inflating it: the
+  /// code words are copied once, then validated (see
+  /// WahBitvector::TryFromCodeWords).  Returns false on malformed input,
+  /// including a payload whose length is not 8 + 4k bytes.
   static bool DecodeToWah(std::span<const uint8_t> payload, WahBitvector* out);
 };
 

@@ -74,46 +74,85 @@ std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
   return out;
 }
 
-Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
-                      const std::string& name, CheckedBlob* out) {
-  if (file_bytes.size() < 32 ||
-      std::memcmp(file_bytes.data(), kMagicV2, 4) != 0) {
+Status DecodeBlobView(std::span<const uint8_t> file_bytes,
+                      const std::string& name,
+                      std::optional<uint32_t> file_crc, BlobView* out) {
+  const uint8_t* const bytes = file_bytes.data();
+  auto manifest_mismatch = [&] {
+    recovery_internal::CountChecksumFailure();
+    return Status::Corruption("checksum differs from manifest: " + name);
+  };
+  // An unparseable header leaves nothing to walk in one pass; the
+  // manifest's verdict still comes first.
+  auto whole_file_differs = [&] {
+    return file_crc && Crc32c(bytes, file_bytes.size()) != *file_crc;
+  };
+  if (file_bytes.size() < 32 || std::memcmp(bytes, kMagicV2, 4) != 0) {
+    if (whole_file_differs()) return manifest_mismatch();
     return Status::Corruption("bad magic: " + name);
   }
-  const uint64_t raw_size = Get64(file_bytes.data() + 4);
-  const uint64_t payload_size = Get64(file_bytes.data() + 12);
-  const uint32_t block_size = Get32(file_bytes.data() + 20);
-  const uint32_t num_blocks = Get32(file_bytes.data() + 24);
+  const uint64_t raw_size = Get64(bytes + 4);
+  const uint64_t payload_size = Get64(bytes + 12);
+  const uint32_t block_size = Get32(bytes + 20);
+  const uint32_t num_blocks = Get32(bytes + 24);
   const size_t header_size = 32 + 4 * static_cast<size_t>(num_blocks);
   if (block_size == 0 || num_blocks != NumBlocks(payload_size, block_size) ||
       file_bytes.size() < header_size ||
       file_bytes.size() - header_size != payload_size) {
+    if (whole_file_differs()) return manifest_mismatch();
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("inconsistent header (truncated?): " + name);
   }
-  const uint32_t header_crc = Get32(file_bytes.data() + header_size - 4);
-  if (Crc32c(file_bytes.data(), header_size - 4) != header_crc) {
-    recovery_internal::CountChecksumFailure();
-    return Status::Corruption("header checksum mismatch: " + name);
-  }
-  const uint8_t* payload = file_bytes.data() + header_size;
+  // One pass over the image: the header, then each payload block, each
+  // feeds its own chain and (given file_crc) the whole-file chain too.
+  uint32_t whole = 0;
+  auto segment_crc = [&](const uint8_t* p, size_t len) {
+    uint32_t crc = 0;
+    if (file_crc) {
+      Crc32cExtend2(&whole, &crc, p, len);
+    } else {
+      crc = Crc32c(p, len);
+    }
+    return crc;
+  };
+  const uint32_t header_crc = Get32(bytes + header_size - 4);
+  const bool header_ok = segment_crc(bytes, header_size - 4) == header_crc;
+  if (file_crc) whole = Crc32cExtend(whole, bytes + header_size - 4, 4);
+  const uint8_t* payload = bytes + header_size;
   std::string bad_blocks;
-  for (uint32_t b = 0; b < num_blocks; ++b) {
+  // A damaged header has no trustworthy block CRCs; without file_crc there
+  // is nothing left to check.
+  for (uint32_t b = 0; b < num_blocks && (header_ok || file_crc); ++b) {
     size_t begin = static_cast<size_t>(b) * block_size;
     size_t len = std::min<size_t>(block_size, payload_size - begin);
-    uint32_t want = Get32(file_bytes.data() + 28 + 4 * static_cast<size_t>(b));
-    if (Crc32c(payload + begin, len) != want) {
+    uint32_t want = Get32(bytes + 28 + 4 * static_cast<size_t>(b));
+    if (segment_crc(payload + begin, len) != want) {
       if (!bad_blocks.empty()) bad_blocks += ",";
       bad_blocks += std::to_string(b);
     }
+  }
+  if (file_crc && whole != *file_crc) return manifest_mismatch();
+  if (!header_ok) {
+    recovery_internal::CountChecksumFailure();
+    return Status::Corruption("header checksum mismatch: " + name);
   }
   if (!bad_blocks.empty()) {
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("block checksum mismatch (block " + bad_blocks +
                               "): " + name);
   }
+  out->payload = std::span<const uint8_t>(payload, payload_size);
   out->raw_size = raw_size;
-  out->payload.assign(payload, payload + payload_size);
+  return Status::OK();
+}
+
+Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
+                      const std::string& name, CheckedBlob* out) {
+  BlobView view;
+  Status s = DecodeBlobView(file_bytes, name, std::nullopt, &view);
+  if (!s.ok()) return s;
+  out->raw_size = view.raw_size;
+  out->payload.assign(view.payload.begin(), view.payload.end());
   return Status::OK();
 }
 

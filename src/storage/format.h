@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,6 +69,13 @@ struct CheckedBlob {
   uint64_t raw_size = 0;
 };
 
+/// A verified blob file's payload as a view into the file image it was
+/// decoded from (valid while that image is), plus the recorded raw size.
+struct BlobView {
+  std::span<const uint8_t> payload;
+  uint64_t raw_size = 0;
+};
+
 /// Serializes payload + checksummed header into one file image.
 std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
                                     uint64_t raw_size,
@@ -78,6 +86,18 @@ std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
 /// Corruption naming the bad block(s) and bumps storage.checksum_failures.
 Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
                       const std::string& name, CheckedBlob* out);
+
+/// DecodeBlobFile without the payload copy: verifies the image in place
+/// and points `out->payload` into `file_bytes`.  Given `file_crc` (the
+/// manifest's whole-file CRC32C), it also checks that, in the same pass
+/// over the bytes as the header and block CRCs (Crc32cExtend2).  A
+/// whole-file mismatch takes precedence over every other verdict, as when
+/// the manifest check runs first: Corruption "checksum differs from
+/// manifest: <name>", counted once in storage.checksum_failures.  Otherwise
+/// the statuses and counts are DecodeBlobFile's.
+Status DecodeBlobView(std::span<const uint8_t> file_bytes,
+                      const std::string& name,
+                      std::optional<uint32_t> file_crc, BlobView* out);
 
 /// Reads and decodes `path` through `env` (one whole-file read).
 Status ReadBlobFile(const Env& env, const std::filesystem::path& path,

@@ -117,8 +117,9 @@ std::string_view ToString(StorageScheme scheme) {
   return "?";
 }
 
-Status StoredIndex::ReadCheckedFile(const std::string& name,
-                                    std::vector<uint8_t>* bytes) const {
+Status StoredIndex::ReadListedFile(const std::string& name,
+                                   std::vector<uint8_t>* bytes,
+                                   const format::ManifestEntry** entry) const {
   Status s = RunWithRetry(retry_, name, [&] {
     return env_->ReadFileBytes(dir_ / name, bytes);
   });
@@ -131,21 +132,37 @@ Status StoredIndex::ReadCheckedFile(const std::string& name,
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("size differs from manifest: " + name);
   }
-  if (Crc32c(bytes->data(), bytes->size()) != it->second.crc) {
+  *entry = &it->second;
+  return Status::OK();
+}
+
+Status StoredIndex::ReadCheckedFile(const std::string& name,
+                                    std::vector<uint8_t>* bytes) const {
+  const format::ManifestEntry* entry = nullptr;
+  Status s = ReadListedFile(name, bytes, &entry);
+  if (!s.ok()) return s;
+  if (Crc32c(bytes->data(), bytes->size()) != entry->crc) {
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("checksum differs from manifest: " + name);
   }
   return Status::OK();
 }
 
+Status StoredIndex::ReadCheckedBlob(const std::string& name,
+                                    std::vector<uint8_t>* bytes,
+                                    format::BlobView* view) const {
+  const format::ManifestEntry* entry = nullptr;
+  Status s = ReadListedFile(name, bytes, &entry);
+  if (!s.ok()) return s;
+  return format::DecodeBlobView(*bytes, name, entry->crc, view);
+}
+
 Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
                              EvalStats* stats,
                              double* decompress_seconds) const {
   std::vector<uint8_t> bytes;
-  Status s = ReadCheckedFile(name, &bytes);
-  if (!s.ok()) return s;
-  format::CheckedBlob blob;
-  s = format::DecodeBlobFile(bytes, name, &blob);
+  format::BlobView blob;
+  Status s = ReadCheckedBlob(name, &bytes, &blob);
   if (!s.ok()) return s;
   if (stats != nullptr) {
     stats->bytes_read += static_cast<int64_t>(blob.payload.size());
@@ -161,6 +178,46 @@ Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
   }
   if (raw->size() != blob.raw_size) {
     return Status::Corruption("size mismatch: " + name);
+  }
+  return Status::OK();
+}
+
+Status StoredIndex::ReadBitmap(const std::string& name, Bitvector* out,
+                               int64_t* payload_bytes,
+                               double* decompress_seconds) const {
+  if (!UsesWahOperandPayloads(scheme_, *codec_)) {
+    std::vector<uint8_t> raw;
+    EvalStats io;
+    Status s = ReadBlob(name, &raw, &io, decompress_seconds);
+    *payload_bytes += io.bytes_read;
+    if (!s.ok()) return s;
+    if (raw.size() < (num_records_ + 7) / 8) {
+      return Status::Corruption("bitmap file shorter than N bits: " + name);
+    }
+    *out = Bitvector::FromBytes(raw, num_records_);
+    return Status::OK();
+  }
+  WahBitvector wah;
+  Status s = ReadWahOperand(name, &wah, payload_bytes);
+  if (!s.ok()) return s;
+  auto start = std::chrono::steady_clock::now();
+  *out = wah.ToBitvector();
+  *decompress_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return Status::OK();
+}
+
+Status StoredIndex::ReadWahOperand(const std::string& name, WahBitvector* out,
+                                   int64_t* payload_bytes) const {
+  std::vector<uint8_t> bytes;
+  format::BlobView blob;
+  Status s = ReadCheckedBlob(name, &bytes, &blob);
+  if (!s.ok()) return s;
+  *payload_bytes += static_cast<int64_t>(blob.payload.size());
+  if (!WahCodec::DecodeToWah(blob.payload, out) ||
+      out->size() != num_records_) {
+    return Status::Corruption("wah payload does not decode: " + name);
   }
   return Status::OK();
 }
@@ -182,15 +239,13 @@ bool StoredIndex::ReconstructSlice(int component, uint32_t slot,
   Bitvector siblings_or = Bitvector::Zeros(num_records_);
   for (uint32_t j = 0; j < base; ++j) {
     if (j == slot) continue;
-    std::vector<uint8_t> raw;
-    EvalStats io;
-    Status s = ReadBlob(BitmapFileName(prefix_, component, j), &raw, &io,
-                        decompress_seconds);
-    *payload_bytes += io.bytes_read;
-    if (!s.ok() || raw.size() < (num_records_ + 7) / 8) {
+    Bitvector sibling;
+    if (!ReadBitmap(BitmapFileName(prefix_, component, j), &sibling,
+                    payload_bytes, decompress_seconds)
+             .ok()) {
       return false;  // a sibling is damaged too; surface the original error
     }
-    siblings_or.OrWith(Bitvector::FromBytes(raw, num_records_));
+    siblings_or.OrWith(sibling);
   }
   *out = non_null_;
   out->AndNotWith(siblings_or);
@@ -207,22 +262,13 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     // Stored-payload handover for the compressed-domain engine: parse,
     // validate, return.  Any problem is reported without recovery — the
     // caller's dense-kind fallback re-reads with full retry and
-    // reconstruction handling — and without charging bytes (the dense
-    // fallback's read is the one that counts).
+    // reconstruction handling — and the caller charges nothing for a
+    // failed handover (the dense fallback's read is the one that counts).
     if (!UsesWahOperandPayloads(scheme_, *codec_)) {
       return Status::NotFound("column does not store wah operand payloads");
     }
-    std::vector<uint8_t> bytes;
-    Status s = ReadCheckedFile(name, &bytes);
+    Status s = ReadWahOperand(name, &out->wah, &out->payload_bytes);
     if (!s.ok()) return s;
-    format::CheckedBlob blob;
-    s = format::DecodeBlobFile(bytes, name, &blob);
-    if (!s.ok()) return s;
-    if (!WahCodec::DecodeToWah(blob.payload, &out->wah) ||
-        out->wah.size() != num_records_) {
-      return Status::Corruption("wah payload does not decode: " + name);
-    }
-    out->payload_bytes = static_cast<int64_t>(blob.payload.size());
     static obs::Counter& direct = obs::MetricsRegistry::Global().GetCounter(
         "storage.wah_direct_fetches");
     direct.Increment();
@@ -239,14 +285,11 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
   span.set_component(component);
   span.set_slot(slot);
   span.set_hit(false);
-  std::vector<uint8_t> raw;
-  EvalStats io;
-  Status s = ReadBlob(name, &raw, &io, &out->decompress_seconds);
-  span.set_bytes(io.bytes_read);
-  out->payload_bytes += io.bytes_read;
-  if (s.ok() && raw.size() < (num_records_ + 7) / 8) {
-    s = Status::Corruption("bitmap file shorter than N bits: " + name);
-  }
+  int64_t bytes_read = 0;
+  Status s =
+      ReadBitmap(name, &out->dense, &bytes_read, &out->decompress_seconds);
+  span.set_bytes(bytes_read);
+  out->payload_bytes += bytes_read;
   if (!s.ok()) {
     // Corruption is deterministic (retrying re-reads the same rot); try to
     // rebuild the bitmap from its sibling slices instead.
@@ -258,7 +301,6 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     }
     return s;
   }
-  out->dense = Bitvector::FromBytes(raw, num_records_);
   return Status::OK();
 }
 
@@ -690,10 +732,8 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
   // Non-null bitmap (stored uncompressed in a blob file).
   {
     std::vector<uint8_t> bytes;
-    Status nn = ReadCheckedFile(prefix_ + kNonNullFile, &bytes);
-    if (!nn.ok()) return nn;
-    format::CheckedBlob blob;
-    nn = format::DecodeBlobFile(bytes, prefix_ + kNonNullFile, &blob);
+    format::BlobView blob;
+    Status nn = ReadCheckedBlob(prefix_ + kNonNullFile, &bytes, &blob);
     if (!nn.ok()) return nn;
     if (blob.payload.size() < (num_records_ + 7) / 8) {
       return Status::Corruption("non-null bitmap shorter than N bits");
@@ -708,16 +748,14 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
   if (row_order_kind_ != RowOrder::kNone) {
     const std::string name = prefix_ + format::kRowOrderFile;
     std::vector<uint8_t> bytes;
-    Status ro = ReadCheckedFile(name, &bytes);
+    format::BlobView blob;
+    Status ro = ReadCheckedBlob(name, &bytes, &blob);
     if (!ro.ok()) {
       if (!env_->FileExists(dir / name)) {
         return Status::Corruption("row-order sidecar missing: " + name);
       }
       return ro;
     }
-    format::CheckedBlob blob;
-    ro = format::DecodeBlobFile(bytes, name, &blob);
-    if (!ro.ok()) return ro;
     ro = format::DecodeRowOrderPayload(blob.payload, name, &row_order_);
     if (!ro.ok()) return ro;
     if (row_order_.size() != num_records_) {

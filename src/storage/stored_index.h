@@ -217,7 +217,7 @@ class StoredIndex {
   ///    compressed-domain engine; kNotFound when the column does not store
   ///    wah operand payloads, and the read/verify/parse failure otherwise
   ///    — callers fall back to the dense kind, which re-reads with full
-  ///    recovery.  No reconstruction, no retry beyond ReadCheckedFile's.
+  ///    recovery.  No reconstruction, no retry beyond ReadCheckedBlob's.
   /// Thread-safe: reads only immutable open-time state and the (thread-
   /// safe) Env.
   Status FetchBitmapOperand(int component, uint32_t slot, bool wah,
@@ -237,15 +237,39 @@ class StoredIndex {
 
   Status LoadMeta(const std::filesystem::path& dir);
 
-  /// Reads one index file with retry and (when a manifest is present)
-  /// whole-file size + CRC verification against it.
+  /// Reads one index file with retry, checks that the manifest lists it
+  /// with this size, and points `*entry` at its manifest entry.
+  Status ReadListedFile(const std::string& name, std::vector<uint8_t>* bytes,
+                        const format::ManifestEntry** entry) const;
+
+  /// ReadListedFile + the manifest's whole-file CRC.
   Status ReadCheckedFile(const std::string& name,
                          std::vector<uint8_t>* bytes) const;
 
-  /// ReadCheckedFile + V2 header/block verification + codec decode.
+  /// ReadListedFile, then the manifest's whole-file CRC and the V2 header
+  /// and block CRCs in one pass over the bytes (format::DecodeBlobView).
+  /// `*view` points into `*bytes`: the payload is not copied.
+  Status ReadCheckedBlob(const std::string& name, std::vector<uint8_t>* bytes,
+                         format::BlobView* view) const;
+
+  /// ReadCheckedBlob + codec decode.
   /// `stats`/`decompress_seconds` account payload bytes and inflate time.
   Status ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
                   EvalStats* stats, double* decompress_seconds) const;
+
+  /// Reads one BS bitmap file as a dense N-bit vector.  WAH operand
+  /// payloads go through ReadWahOperand, then ToBitvector (timed as
+  /// decompression); other codecs go through ReadBlob's byte image.
+  /// Payload bytes accumulate into `*payload_bytes` once the file
+  /// verifies, even if the decode then fails.
+  Status ReadBitmap(const std::string& name, Bitvector* out,
+                    int64_t* payload_bytes, double* decompress_seconds) const;
+
+  /// ReadCheckedBlob + WahCodec::DecodeToWah straight from the payload
+  /// view, for a column storing WAH operand payloads: one verified pass and
+  /// one copy of the code words.  Same byte accounting as ReadBitmap.
+  Status ReadWahOperand(const std::string& name, WahBitvector* out,
+                        int64_t* payload_bytes) const;
 
   /// Rebuilds equality slice E^slot from its siblings (see the .cc for the
   /// identity and its preconditions).  Sibling payload bytes accumulate

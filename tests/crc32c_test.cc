@@ -1,5 +1,5 @@
-// CRC32C: published vectors, kernel cross-checks on every seam length, and
-// streaming/one-shot equivalence.
+// CRC32C: published vectors, kernel cross-checks on every seam length (one
+// chain and two), and streaming/one-shot equivalence.
 
 #include "bitmap/crc32c.h"
 
@@ -55,6 +55,46 @@ TEST(Crc32cTest, KernelsAgreeOnEverySeamLength) {
       uint32_t p = crc32c_internal::PortableUpdate(~0u, buf.data() + align, len);
       uint32_t h = crc32c_internal::HardwareUpdate(~0u, buf.data() + align, len);
       ASSERT_EQ(p, h) << "align=" << align << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, TwoChainKernelsAgreeOverLengthsAndAlignments) {
+  // The two-chain kernel has its own head/body/tail seams; cross-check it
+  // against two portable single-chain passes at every alignment, over short
+  // lengths and a few block-sized ones, with distinct starting states.  The
+  // public form must equal two single-chain extends on either kernel.
+  std::vector<uint8_t> buf(2 * 4096 + 64);
+  uint64_t x = 0xD1B54A32D192ED03ull;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (size_t len : {size_t{255}, size_t{4095}, size_t{4096}, size_t{4097},
+                     size_t{2 * 4096 + 17}}) {
+    lengths.push_back(len);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len : lengths) {
+      const uint8_t* data = buf.data() + align;
+      const uint32_t want_a = crc32c_internal::PortableUpdate(~0u, data, len);
+      const uint32_t want_b =
+          crc32c_internal::PortableUpdate(0x1234ABCDu, data, len);
+      if (crc32c_internal::HardwareAvailable()) {
+        uint32_t ha = ~0u, hb = 0x1234ABCDu;
+        crc32c_internal::HardwareUpdate2(&ha, &hb, data, len);
+        ASSERT_EQ(ha, want_a) << "align=" << align << " len=" << len;
+        ASSERT_EQ(hb, want_b) << "align=" << align << " len=" << len;
+      }
+      // The public form equals two single-chain extends.
+      uint32_t a = 0x0BADF00Du, b = 0;
+      Crc32cExtend2(&a, &b, data, len);
+      ASSERT_EQ(a, Crc32cExtend(0x0BADF00Du, data, len));
+      ASSERT_EQ(b, Crc32c(data, len));
     }
   }
 }

@@ -3,6 +3,7 @@
 // against transient errors, sibling reconstruction, and the direct
 // stored-WAH fetch path.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,9 +107,54 @@ TEST(FormatTest, BlobFileRoundTripsAcrossBlockBoundaries) {
   }
 }
 
+// The in-place decoder must give DecodeBlobFile's verdict on `image`
+// without a file CRC, and with the manifest's CRC of `intact` must reject
+// exactly when the bytes differ from it — as the manifest check that used
+// to run first did, with its text and one counted failure.  A manifest CRC
+// that matches the damaged bytes (a file written wrong) must leave the
+// header and block checks to give DecodeBlobFile's verdict.
+void ExpectViewAgreesWithDecodeBlobFile(std::span<const uint8_t> image,
+                                        std::span<const uint8_t> intact,
+                                        const std::string& ctx) {
+  format::CheckedBlob blob;
+  const Status copied = format::DecodeBlobFile(image, "t", &blob);
+  format::BlobView view;
+  const Status plain = format::DecodeBlobView(image, "t", std::nullopt, &view);
+  EXPECT_EQ(plain.code(), copied.code()) << ctx;
+  EXPECT_EQ(plain.ToString(), copied.ToString()) << ctx;
+  if (plain.ok()) {
+    EXPECT_TRUE(std::equal(view.payload.begin(), view.payload.end(),
+                           blob.payload.begin(), blob.payload.end()))
+        << ctx;
+    EXPECT_EQ(view.raw_size, blob.raw_size) << ctx;
+  }
+  const bool same_bytes =
+      std::equal(image.begin(), image.end(), intact.begin(), intact.end());
+  const int64_t failures_before = CounterValue("storage.checksum_failures");
+  format::BlobView checked;
+  const Status fused = format::DecodeBlobView(
+      image, "t", Crc32c(intact.data(), intact.size()), &checked);
+  if (same_bytes) {
+    EXPECT_EQ(fused.code(), copied.code()) << ctx;
+    EXPECT_EQ(fused.ToString(), copied.ToString()) << ctx;
+  } else {
+    EXPECT_EQ(fused.code(), Status::Code::kCorruption) << ctx;
+    EXPECT_NE(fused.ToString().find("checksum differs from manifest: t"),
+              std::string::npos)
+        << ctx << ": " << fused.ToString();
+    EXPECT_EQ(CounterValue("storage.checksum_failures") - failures_before, 1)
+        << ctx;
+  }
+  const Status agreeing = format::DecodeBlobView(
+      image, "t", Crc32c(image.data(), image.size()), &checked);
+  EXPECT_EQ(agreeing.code(), copied.code()) << ctx;
+  EXPECT_EQ(agreeing.ToString(), copied.ToString()) << ctx;
+}
+
 TEST(FormatTest, EveryFlippedBitIsDetected) {
   std::vector<uint8_t> payload(5000, 0xC3);
   std::vector<uint8_t> image = format::EncodeBlobFile(payload, 5000);
+  ExpectViewAgreesWithDecodeBlobFile(image, image, "intact");
   // Probe a byte in the header, the CRC array, each payload block, and the
   // final byte; every single-bit flip must be caught.
   const size_t probes[] = {0, 5, 22, 29, 40, 4000, image.size() - 1};
@@ -119,6 +166,9 @@ TEST(FormatTest, EveryFlippedBitIsDetected) {
       Status s = format::DecodeBlobFile(bad, "t", &blob);
       EXPECT_EQ(s.code(), Status::Code::kCorruption)
           << "byte=" << byte << " bit=" << bit;
+      ExpectViewAgreesWithDecodeBlobFile(
+          bad, image,
+          "byte=" + std::to_string(byte) + " bit=" + std::to_string(bit));
     }
   }
 }
@@ -169,6 +219,9 @@ TEST(FormatTest, TruncatedBlobImagesAreRejectedTyped) {
         std::span<const uint8_t>(image.data(), len), "t", &blob);
     ASSERT_EQ(s.code(), Status::Code::kCorruption) << "len=" << len;
     ASSERT_TRUE(blob.payload.empty()) << "len=" << len;
+    ExpectViewAgreesWithDecodeBlobFile(
+        std::span<const uint8_t>(image.data(), len), image,
+        "len=" + std::to_string(len));
   }
   std::vector<uint8_t> longer = image;
   longer.push_back(0);
@@ -176,6 +229,7 @@ TEST(FormatTest, TruncatedBlobImagesAreRejectedTyped) {
   EXPECT_EQ(format::DecodeBlobFile(longer, "t", &blob).code(),
             Status::Code::kCorruption);
   EXPECT_TRUE(blob.payload.empty());
+  ExpectViewAgreesWithDecodeBlobFile(longer, image, "trailing junk");
 }
 
 TEST(FormatTest, ManifestRoundTripAndSelfChecksum) {
@@ -733,6 +787,69 @@ TEST(StorageV2Test, CorruptWahPayloadFallsBackAndFails) {
                                       nullptr, nullptr, &status, &exec);
   EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
   EXPECT_TRUE(result.empty());
+}
+
+// One flipped bit in each region of a multi-block stored-WAH file: the
+// manifest's whole-file CRC, checked in the same pass as the header and
+// block CRCs, must catch it first, so FetchWah declines and the dense
+// Fetch fails with the manifest text, each counting one checksum failure
+// (range encoding: no reconstruction).
+TEST(StorageV2Test, FlipInEveryRegionOfAWahFileFailsTheManifestCheck) {
+  BitmapIndex index = MakeIndex(Encoding::kRange, /*c=*/12, /*n=*/200000);
+  TempDir dir;
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                 StorageScheme::kBitmapLevel,
+                                 *CodecByName("wah"), &stored)
+                  .ok());
+  const std::filesystem::path file = dir.path() / "idx" / "c0_b5.bm";
+  std::vector<uint8_t> image;
+  {
+    std::ifstream f(file, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(f),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(image.size(), 32u);
+  uint32_t num_blocks = 0;
+  std::memcpy(&num_blocks, image.data() + 24, 4);
+  ASSERT_GE(num_blocks, 3u) << "the file must span a first, middle and last "
+                               "payload block";
+  const uint64_t header = 32 + 4 * uint64_t{num_blocks};
+  const std::pair<const char*, uint64_t> regions[] = {
+      {"magic", 1},
+      {"payload_size", 13},
+      {"block-CRC array", 28 + 4 * (num_blocks / 2) + 2},
+      {"header_crc", header - 2},
+      {"first payload block", header + 100},
+      {"middle payload block",
+       header + format::kDefaultBlockSize * (num_blocks / 2) + 5},
+      {"last payload block", image.size() - 1},
+  };
+  for (const auto& [region, offset] : regions) {
+    FlipByteOnDisk(file, offset, 0x10);
+    auto source = stored->OpenQuerySource();
+    EvalStats stats;
+    const int64_t failures_before = CounterValue("storage.checksum_failures");
+    EXPECT_EQ(source->FetchWah(0, 5, &stats), nullptr) << region;
+    EXPECT_EQ(CounterValue("storage.checksum_failures") - failures_before, 1)
+        << region;
+    source->Fetch(0, 5, &stats);
+    EXPECT_EQ(CounterValue("storage.checksum_failures") - failures_before, 2)
+        << region;
+    EXPECT_EQ(source->status().code(), Status::Code::kCorruption) << region;
+    EXPECT_NE(source->status().ToString().find(
+                  "checksum differs from manifest: c0_b5.bm"),
+              std::string::npos)
+        << region << ": " << source->status().ToString();
+    FlipByteOnDisk(file, offset, 0x10);  // restore
+  }
+  // Restored, the same file serves both fetch kinds again.
+  auto source = stored->OpenQuerySource();
+  const WahBitvector* wah = source->FetchWah(0, 5, nullptr);
+  ASSERT_NE(wah, nullptr);
+  EXPECT_TRUE(wah->ToBitvector() == index.Fetch(0, 5, nullptr));
+  EXPECT_TRUE(source->Fetch(0, 5, nullptr) == index.Fetch(0, 5, nullptr));
+  EXPECT_TRUE(source->status().ok());
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 // checked against the dense reference, including the counting forms
 // (Count, AndCount, and Count of the k-ary results) and the canonical-
 // encoding invariant (equal bit contents always have equal code words).
+// The stored-payload validator (TryFromCodeWords / WahCodec::DecodeToWah) is
+// pinned against a reference copy of its original per-word loop.
 
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 #include "bitmap/wah_kernels.h"
+#include "compress/wah_codec.h"
 
 namespace bix {
 namespace {
@@ -214,6 +218,246 @@ TEST(WahFuzzTest, LongFillRunsStayExact) {
   const WahBitvector* ops[] = {&ones, &zeros, &ones};
   EXPECT_EQ(WahBitvector::OrOfMany(ops).Count(), kBig);
   EXPECT_EQ(WahBitvector::AndOfMany(ops).Count(), 0u);
+}
+
+// The validator as it was first written: one branch per word on fill vs
+// literal, the tail rule applied to the literal that completes the final
+// group, and the running total checked after every word.  Kept here as the
+// reference the branch-free rewrite must agree with.
+bool ReferenceValidCodeWords(const std::vector<uint32_t>& words,
+                             size_t num_bits) {
+  constexpr uint64_t kGroup = 31;
+  const uint64_t want_groups = (num_bits + kGroup - 1) / kGroup;
+  uint64_t groups = 0;
+  for (uint32_t word : words) {
+    if ((word & 0x80000000u) != 0) {
+      if ((word & 0x3FFFFFFFu) == 0) return false;
+      groups += word & 0x3FFFFFFFu;
+    } else {
+      ++groups;
+      if (groups == want_groups) {
+        uint32_t tail =
+            static_cast<uint32_t>(num_bits - (want_groups - 1) * kGroup);
+        if (tail < kGroup && (word >> tail) != 0) return false;
+      }
+    }
+    if (groups > want_groups) return false;
+  }
+  if (groups != want_groups) return false;
+  if (num_bits % kGroup != 0 && !words.empty() &&
+      (words.back() & 0x80000000u) != 0 && (words.back() & 0x40000000u) != 0) {
+    return false;
+  }
+  return true;
+}
+
+// Dense bits of a stream the reference accepted, expanded word by word.
+Bitvector ReferenceBits(const std::vector<uint32_t>& words, size_t num_bits) {
+  Bitvector out(num_bits);
+  size_t bit = 0;
+  for (uint32_t word : words) {
+    if ((word & 0x80000000u) != 0) {
+      size_t span = size_t{word & 0x3FFFFFFFu} * 31;
+      if ((word & 0x40000000u) != 0) {
+        for (size_t i = bit; i < std::min(bit + span, num_bits); ++i) {
+          out.Set(i);
+        }
+      }
+      bit += span;
+    } else {
+      for (size_t i = 0; i < 31 && bit + i < num_bits; ++i) {
+        if ((word >> i) & 1) out.Set(bit + i);
+      }
+      bit += 31;
+    }
+  }
+  return out;
+}
+
+uint32_t RandomWord(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0:
+      return static_cast<uint32_t>(rng());  // anything at all
+    case 1:
+    case 2: {  // fill with a small count, zero included
+      uint32_t value = (rng() & 1) ? 0x40000000u : 0;
+      return 0x80000000u | value | static_cast<uint32_t>(rng() % 5);
+    }
+    case 3:  // fill near the count ceiling
+      return 0x80000000u | static_cast<uint32_t>(rng() & 0x7FFFFFFFu);
+    case 4:  // sparse literal
+      return uint32_t{1} << (rng() % 31);
+    default:  // dense literal noise
+      return static_cast<uint32_t>(rng()) & 0x7FFFFFFFu;
+  }
+}
+
+// num_bits near the stream's own group total (so a good share of streams
+// is accepted), occasionally anywhere.
+size_t NumBitsFor(std::mt19937_64& rng, const std::vector<uint32_t>& words) {
+  uint64_t groups = 0;
+  for (uint32_t word : words) {
+    groups += (word & 0x80000000u) != 0 ? (word & 0x3FFFFFFFu) : 1;
+  }
+  if (rng() % 16 == 0) return rng() % 4096;
+  int64_t target_groups = static_cast<int64_t>(groups) +
+                          static_cast<int64_t>(rng() % 3) - 1;
+  if (target_groups <= 0) return rng() % 31;
+  uint64_t full = static_cast<uint64_t>(target_groups - 1) * 31;
+  return static_cast<size_t>(full + 1 + rng() % 31);  // tail of 1..31 bits
+}
+
+// One case: the validator, its move overload and the codec's payload
+// parser must each agree with the reference, and accepted streams must
+// carry exactly the reference bits.
+void CheckAgainstReference(const std::vector<uint32_t>& words,
+                           size_t num_bits, int64_t* accepted) {
+  const bool want = ReferenceValidCodeWords(words, num_bits);
+  WahBitvector got;
+  const bool ok = WahBitvector::TryFromCodeWords(
+      std::span<const uint32_t>(words), num_bits, &got);
+  ASSERT_EQ(ok, want) << "num_bits=" << num_bits
+                      << " words=" << words.size();
+  std::vector<uint32_t> moved = words;
+  WahBitvector got_moved;
+  ASSERT_EQ(WahBitvector::TryFromCodeWords(std::move(moved), num_bits,
+                                           &got_moved),
+            want);
+  if (!want) {
+    ASSERT_TRUE(got.empty() && got.code_words().empty());
+    ASSERT_EQ(moved, words);  // a rejected stream is not consumed
+    return;
+  }
+  ++*accepted;
+  ASSERT_EQ(got.size(), num_bits);
+  ASSERT_EQ(got.code_words(), words);
+  ASSERT_TRUE(got_moved == got);
+  // Near-ceiling fills describe billions of bits; equal code words already
+  // pin those, so only small streams are expanded.
+  if (num_bits <= (size_t{1} << 16)) {
+    ASSERT_TRUE(got.ToBitvector() == ReferenceBits(words, num_bits))
+        << "num_bits=" << num_bits;
+  }
+}
+
+std::vector<uint8_t> Payload(const std::vector<uint32_t>& words,
+                             uint64_t num_bits) {
+  std::vector<uint8_t> out(8 + 4 * words.size());
+  std::memcpy(out.data(), &num_bits, 8);
+  if (!words.empty()) {
+    std::memcpy(out.data() + 8, words.data(), 4 * words.size());
+  }
+  return out;
+}
+
+TEST(WahValidatorTest, BranchFreeCheckMatchesReferenceLoop) {
+  std::mt19937_64 rng(20261019);
+  int64_t cases = 0;
+  int64_t accepted = 0;
+  // Random streams of 0..12 words.
+  for (int rep = 0; rep < 700000; ++rep, ++cases) {
+    std::vector<uint32_t> words(rng() % 13);
+    for (uint32_t& w : words) w = RandomWord(rng);
+    CheckAgainstReference(words, NumBitsFor(rng, words), &accepted);
+  }
+  // Canonical encodings, then one adversarial edit each: a zero-count fill,
+  // an extra or missing group, set bits past num_bits in the last literal,
+  // a ones fill over the partial final group, or num_bits moved by one.
+  for (int rep = 0; rep < 300000; ++rep) {
+    size_t len = rep % 4 == 0 ? kEdgeLengths[rng() % 16] : rng() % 400;
+    WahBitvector canon = WahBitvector::FromBitvector(BuildPattern(rng, len));
+    std::vector<uint32_t> words = canon.code_words();
+    size_t num_bits = len;
+    CheckAgainstReference(words, num_bits, &accepted);
+    ++cases;
+    switch (rng() % 7) {
+      case 0:  // zero-count fill somewhere
+        words.insert(words.begin() + static_cast<std::ptrdiff_t>(
+                                         rng() % (words.size() + 1)),
+                     0x80000000u | ((rng() & 1) ? 0x40000000u : 0));
+        break;
+      case 1:  // group overflow: one literal too many
+        words.push_back(static_cast<uint32_t>(rng()) & 0x7FFFFFFFu);
+        break;
+      case 2:  // group shortfall
+        if (!words.empty()) words.pop_back();
+        break;
+      case 3: {  // stray bit past num_bits in the last literal
+        const uint32_t tail = static_cast<uint32_t>(num_bits % 31);
+        if (tail != 0 && !words.empty() &&
+            (words.back() & 0x80000000u) == 0) {
+          words.back() |= uint32_t{1} << (tail + rng() % (31 - tail));
+        }
+        break;
+      }
+      case 4:  // ones fill over the (maybe partial) final group
+        if (!words.empty()) words.back() = 0xC0000001u;
+        break;
+      case 5:  // num_bits off by one either way
+        if ((rng() & 1) != 0 || num_bits == 0) {
+          ++num_bits;
+        } else {
+          --num_bits;
+        }
+        break;
+      default:  // one random word replaced
+        if (!words.empty()) words[rng() % words.size()] = RandomWord(rng);
+        break;
+    }
+    CheckAgainstReference(words, num_bits, &accepted);
+    ++cases;
+  }
+  // Empty streams: accepted only at num_bits 0.
+  for (size_t num_bits : {size_t{0}, size_t{1}, size_t{30}, size_t{31},
+                          size_t{32}, size_t{62}, size_t{1000}}) {
+    CheckAgainstReference({}, num_bits, &accepted);
+    ++cases;
+  }
+  EXPECT_GE(cases, 1000000);
+  // Both verdicts must be well represented for the agreement to mean much.
+  EXPECT_GT(accepted, 100000) << "of " << cases;
+  EXPECT_LT(accepted, cases - 100000);
+}
+
+TEST(WahValidatorTest, DecodeToWahMatchesReferenceOnPayloadLengths) {
+  std::mt19937_64 rng(20261020);
+  for (int rep = 0; rep < 20000; ++rep) {
+    size_t len = rng() % 300;
+    WahBitvector canon = WahBitvector::FromBitvector(BuildPattern(rng, len));
+    std::vector<uint8_t> payload = Payload(canon.code_words(), len);
+    WahBitvector got;
+    ASSERT_TRUE(WahCodec::DecodeToWah(payload, &got)) << "len=" << len;
+    ASSERT_TRUE(got == canon);
+    // Any length that is not 8 + 4k bytes is rejected, whatever the words;
+    // so is a payload too short to hold num_bits.
+    for (size_t cut : {size_t{1}, size_t{2}, size_t{3}}) {
+      WahBitvector none;
+      ASSERT_FALSE(WahCodec::DecodeToWah(
+          std::span<const uint8_t>(payload.data(), payload.size() - cut),
+          &none))
+          << "len=" << len << " cut=" << cut;
+      std::vector<uint8_t> longer = payload;
+      longer.resize(payload.size() + cut, 0);
+      ASSERT_FALSE(WahCodec::DecodeToWah(longer, &none));
+      ASSERT_TRUE(none.empty());
+    }
+    // Random words behind a well-formed length agree with the reference.
+    std::vector<uint32_t> words(rng() % 6);
+    for (uint32_t& w : words) w = RandomWord(rng);
+    size_t num_bits = NumBitsFor(rng, words);
+    WahBitvector parsed;
+    ASSERT_EQ(WahCodec::DecodeToWah(Payload(words, num_bits), &parsed),
+              ReferenceValidCodeWords(words, num_bits));
+  }
+  for (size_t short_len = 0; short_len < 8; ++short_len) {
+    std::vector<uint8_t> tiny(short_len, 0);
+    WahBitvector none;
+    EXPECT_FALSE(WahCodec::DecodeToWah(tiny, &none)) << short_len;
+  }
+  WahBitvector empty;
+  EXPECT_TRUE(WahCodec::DecodeToWah(Payload({}, 0), &empty));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_FALSE(WahCodec::DecodeToWah(Payload({}, 5), &empty));
 }
 
 }  // namespace
