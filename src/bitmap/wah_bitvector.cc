@@ -102,15 +102,7 @@ bool ValidCodeWords(std::span<const uint32_t> words, size_t num_bits) {
 
 }  // namespace
 
-bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
-                                    size_t num_bits, WahBitvector* out) {
-  if (!ValidCodeWords(words, num_bits)) return false;
-  out->num_bits_ = num_bits;
-  out->words_.assign(words.begin(), words.end());
-  return true;
-}
-
-bool WahBitvector::TryFromCodeWords(std::vector<uint32_t>&& words,
+bool WahBitvector::TryFromCodeWords(std::vector<uint32_t> words,
                                     size_t num_bits, WahBitvector* out) {
   if (!ValidCodeWords(words, num_bits)) return false;
   out->num_bits_ = num_bits;

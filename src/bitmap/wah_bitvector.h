@@ -37,12 +37,9 @@ class WahBitvector {
   /// without inflating them).  Structurally validates the stream — every
   /// word well-formed, fill counts non-zero, total groups matching
   /// `num_bits`, no set bits past `num_bits` — and returns false on
-  /// malformed input, leaving `*out` untouched.
-  static bool TryFromCodeWords(std::span<const uint32_t> words,
-                               size_t num_bits, WahBitvector* out);
-  /// Same check; on success `words` moves into `*out` instead of being
-  /// copied (on failure it is left as it was).
-  static bool TryFromCodeWords(std::vector<uint32_t>&& words, size_t num_bits,
+  /// malformed input, leaving `*out` untouched.  On success `words`
+  /// moves into `*out`, so a caller that moves its vector in pays no copy.
+  static bool TryFromCodeWords(std::vector<uint32_t> words, size_t num_bits,
                                WahBitvector* out);
 
   /// The all-`value` vector of `num_bits` bits (a single fill run; the

@@ -198,7 +198,7 @@ Status StoredIndex::ReadBitmap(const std::string& name, Bitvector* out,
     return Status::OK();
   }
   WahBitvector wah;
-  Status s = ReadWahOperand(name, &wah, payload_bytes);
+  Status s = ReadWahOperand(name, &wah, payload_bytes, decompress_seconds);
   if (!s.ok()) return s;
   auto start = std::chrono::steady_clock::now();
   *out = wah.ToBitvector();
@@ -209,14 +209,21 @@ Status StoredIndex::ReadBitmap(const std::string& name, Bitvector* out,
 }
 
 Status StoredIndex::ReadWahOperand(const std::string& name, WahBitvector* out,
-                                   int64_t* payload_bytes) const {
+                                   int64_t* payload_bytes,
+                                   double* decompress_seconds) const {
   std::vector<uint8_t> bytes;
   format::BlobView blob;
   Status s = ReadCheckedBlob(name, &bytes, &blob);
   if (!s.ok()) return s;
   *payload_bytes += static_cast<int64_t>(blob.payload.size());
-  if (!WahCodec::DecodeToWah(blob.payload, out) ||
-      out->size() != num_records_) {
+  auto start = std::chrono::steady_clock::now();
+  const bool decoded = WahCodec::DecodeToWah(blob.payload, out);
+  if (decompress_seconds != nullptr) {
+    *decompress_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+  }
+  if (!decoded || out->size() != num_records_) {
     return Status::Corruption("wah payload does not decode: " + name);
   }
   return Status::OK();
@@ -267,7 +274,8 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     if (!UsesWahOperandPayloads(scheme_, *codec_)) {
       return Status::NotFound("column does not store wah operand payloads");
     }
-    Status s = ReadWahOperand(name, &out->wah, &out->payload_bytes);
+    Status s = ReadWahOperand(name, &out->wah, &out->payload_bytes,
+                              /*decompress_seconds=*/nullptr);
     if (!s.ok()) return s;
     static obs::Counter& direct = obs::MetricsRegistry::Global().GetCounter(
         "storage.wah_direct_fetches");

@@ -258,8 +258,9 @@ class StoredIndex {
                   EvalStats* stats, double* decompress_seconds) const;
 
   /// Reads one BS bitmap file as a dense N-bit vector.  WAH operand
-  /// payloads go through ReadWahOperand, then ToBitvector (timed as
-  /// decompression); other codecs go through ReadBlob's byte image.
+  /// payloads go through ReadWahOperand, then ToBitvector (parse,
+  /// validation and inflate all count as decompression time); other
+  /// codecs go through ReadBlob's byte image.
   /// Payload bytes accumulate into `*payload_bytes` once the file
   /// verifies, even if the decode then fails.
   Status ReadBitmap(const std::string& name, Bitvector* out,
@@ -267,9 +268,11 @@ class StoredIndex {
 
   /// ReadCheckedBlob + WahCodec::DecodeToWah straight from the payload
   /// view, for a column storing WAH operand payloads: one verified pass and
-  /// one copy of the code words.  Same byte accounting as ReadBitmap.
+  /// one copy of the code words.  Same byte accounting as ReadBitmap; the
+  /// parse and validation add to `*decompress_seconds` unless it is null.
   Status ReadWahOperand(const std::string& name, WahBitvector* out,
-                        int64_t* payload_bytes) const;
+                        int64_t* payload_bytes,
+                        double* decompress_seconds) const;
 
   /// Rebuilds equality slice E^slot from its siblings (see the .cc for the
   /// identity and its preconditions).  Sibling payload bytes accumulate

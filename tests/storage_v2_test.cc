@@ -852,5 +852,26 @@ TEST(StorageV2Test, FlipInEveryRegionOfAWahFileFailsTheManifestCheck) {
   EXPECT_TRUE(source->status().ok());
 }
 
+// A dense read of a wah-stored bitmap reports decompression time (what
+// perfbench's compress.decode_us sums); the compressed-domain handover
+// reports none, and both read the same payload bytes.
+TEST(StorageV2Test, DenseReadOfAWahFileCountsDecodeTime) {
+  BitmapIndex index = MakeIndex(Encoding::kRange, /*c=*/12, /*n=*/200000);
+  TempDir dir;
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                 StorageScheme::kBitmapLevel,
+                                 *CodecByName("wah"), &stored)
+                  .ok());
+  FetchedOperand handed;
+  ASSERT_TRUE(stored->FetchBitmapOperand(0, 5, /*wah=*/true, &handed).ok());
+  EXPECT_EQ(handed.decompress_seconds, 0.0);
+  FetchedOperand dense;
+  ASSERT_TRUE(stored->FetchBitmapOperand(0, 5, /*wah=*/false, &dense).ok());
+  EXPECT_GT(dense.decompress_seconds, 0.0);
+  EXPECT_EQ(dense.payload_bytes, handed.payload_bytes);
+  EXPECT_TRUE(dense.dense == handed.wah.ToBitvector());
+}
+
 }  // namespace
 }  // namespace bix

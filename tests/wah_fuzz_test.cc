@@ -307,31 +307,23 @@ size_t NumBitsFor(std::mt19937_64& rng, const std::vector<uint32_t>& words) {
   return static_cast<size_t>(full + 1 + rng() % 31);  // tail of 1..31 bits
 }
 
-// One case: the validator, its move overload and the codec's payload
-// parser must each agree with the reference, and accepted streams must
-// carry exactly the reference bits.
+// One case: the validator must agree with the reference, and an accepted
+// stream must carry exactly the reference bits.
 void CheckAgainstReference(const std::vector<uint32_t>& words,
                            size_t num_bits, int64_t* accepted) {
   const bool want = ReferenceValidCodeWords(words, num_bits);
   WahBitvector got;
   const bool ok = WahBitvector::TryFromCodeWords(
-      std::span<const uint32_t>(words), num_bits, &got);
+      std::vector<uint32_t>(words), num_bits, &got);
   ASSERT_EQ(ok, want) << "num_bits=" << num_bits
                       << " words=" << words.size();
-  std::vector<uint32_t> moved = words;
-  WahBitvector got_moved;
-  ASSERT_EQ(WahBitvector::TryFromCodeWords(std::move(moved), num_bits,
-                                           &got_moved),
-            want);
   if (!want) {
     ASSERT_TRUE(got.empty() && got.code_words().empty());
-    ASSERT_EQ(moved, words);  // a rejected stream is not consumed
     return;
   }
   ++*accepted;
   ASSERT_EQ(got.size(), num_bits);
   ASSERT_EQ(got.code_words(), words);
-  ASSERT_TRUE(got_moved == got);
   // Near-ceiling fills describe billions of bits; equal code words already
   // pin those, so only small streams are expanded.
   if (num_bits <= (size_t{1} << 16)) {
