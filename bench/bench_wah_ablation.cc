@@ -120,7 +120,7 @@ double MeasureDenseAndCount(const Bitvector& a, const Bitvector& b, int reps) {
 // paper's decompress-then-op model: every Fetch inflates).
 double MeasureEngine(const BitmapSource& source, EngineKind engine,
                      uint32_t cardinality, int reps, size_t* checksum) {
-  const ExecOptions options{.num_threads = 1, .engine = engine};
+  const ExecOptions options{.engine = engine};
   const CompareOp ops[] = {CompareOp::kLe, CompareOp::kEq, CompareOp::kGt};
   const int64_t values[] = {static_cast<int64_t>(cardinality) / 10,
                             static_cast<int64_t>(cardinality) / 2,

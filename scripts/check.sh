@@ -53,9 +53,8 @@ esac
 if [[ "$RUN_DIFF" == 1 ]]; then
   # Fast lane for engine work: the seeded differential/property harness and
   # the WAH codec fuzz tests (label "differential", tests/CMakeLists.txt)
-  # cross-check the plain engine on one lane and on three and the
-  # compressed-domain engine for bit equality and EvalStats parity in a
-  # few seconds.
+  # cross-check the plain and compressed-domain engines for bit equality
+  # and EvalStats parity in a few seconds.
   configure build
   cmake --build build --target bix_differential_tests
   ctest --test-dir build -L differential --output-on-failure
@@ -215,7 +214,6 @@ if [[ "$RUN_MAIN" == 1 ]]; then
       --cardinality 64 --queries 1500 --threads 4 --codec lz77 \
       --out bench/baselines/BENCH_serve.json
   ./build/bench/bench_obs BENCH_obs.json
-  ./build/bench/bench_parallel_scaling BENCH_parallel_scaling.json
   BIX_BENCH_JSON=BENCH_micro_bitvector.json \
       ./build/bench/bench_micro_bitvector --benchmark_min_time=0.01
   ./build/bench/bench_micro_codec --benchmark_min_time=0.01
@@ -235,24 +233,21 @@ fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   # ThreadSanitizer pass over the concurrency surface: the thread pool,
-  # multi-lane record and replay and concurrent queries on one source (the
-  # *Segmented* tests), and the serve layer.  The full suite is ~10x slower
-  # under TSan, so only the tests that actually spawn threads run here.
+  # concurrent plain and auto queries on one shared source (the *Segmented*
+  # tests), and the serve layer.  The full suite is ~10x slower under TSan,
+  # so only the tests that actually spawn threads run here.
   configure build-tsan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
-  cmake --build build-tsan --target bix_tests bix_differential_tests \
-      bench_parallel_scaling
+  cmake --build build-tsan --target bix_tests bix_differential_tests
   ./build-tsan/tests/bix_tests \
       --gtest_filter='ThreadPool*:*Segmented*:SelectionPlanTest*:OperandCache*:Serve*'
-  # P3 on both engines with the default one lane.  Its probes run one
-  # after another on the calling thread and spawn no threads of their own,
-  # so this is a smoke run of the planner and the process-wide wah_engine.*
-  # counters under the TSan build, not a concurrency check.
+  # P3 on both engines.  Its probes run one after another on the calling
+  # thread and spawn no threads of their own, so this is a smoke run of the
+  # planner and the process-wide wah_engine.* counters under the TSan build,
+  # not a concurrency check.
   ./build-tsan/tests/bix_differential_tests \
       --gtest_filter='PlannerEngineDifferential*'
-  ./build-tsan/bench/bench_parallel_scaling --smoke \
-      build-tsan/BENCH_parallel_scaling_tsan.json
 fi
 
 echo "ALL CHECKS PASSED"

@@ -191,7 +191,7 @@ EvalProgram Recorder::Finish(RegHandle result) {
 // but unused work (e.g. the provisional all-ones accumulator RangeEvalOpt
 // overwrites, or RangeEval's unreturned LT/GT side), then a forward
 // interval scan that packs virtual registers into the fewest scratch slots
-// so a lane's working set stays cache-sized regardless of query shape.
+// so the replay working set stays cache-sized regardless of query shape.
 void Recorder::Finalize(int32_t result_virtual_reg) {
   std::vector<EvalInstr>& instrs = program_.instrs;
   const size_t n = instrs.size();
@@ -263,20 +263,22 @@ void Recorder::Finalize(int32_t result_virtual_reg) {
   instrs = std::move(kept);
 }
 
-// Replays the program over words [w0, w0 + len) using one lane's scratch.
+constexpr size_t kWordsPerSeg = (size_t{1} << kSegmentBits) / 64;
+
+// Replays the program over words [w0, w0 + len) using `scratch`.
 // `tail_mask` applies when this segment contains the vector's final partial
 // word: NOT and ONES clear the bits past num_bits there, keeping the
 // Bitvector tail invariant (AND/OR/XOR preserve clear tails on their own).
-void RunSegment(const EvalProgram& p, uint64_t* scratch, size_t words_per_seg,
-                size_t w0, size_t len, bool has_tail, uint64_t tail_mask,
+void RunSegment(const EvalProgram& p, uint64_t* scratch, size_t w0,
+                size_t len, bool has_tail, uint64_t tail_mask,
                 uint64_t* out_words) {
   for (const EvalInstr& ins : p.instrs) {
-    uint64_t* dst = scratch + static_cast<size_t>(ins.dst) * words_per_seg;
+    uint64_t* dst = scratch + static_cast<size_t>(ins.dst) * kWordsPerSeg;
     const uint64_t* src = nullptr;
     if (ins.src >= 0) {
       src = ins.src_is_input
                 ? p.inputs[static_cast<size_t>(ins.src)]->words().data() + w0
-                : scratch + static_cast<size_t>(ins.src) * words_per_seg;
+                : scratch + static_cast<size_t>(ins.src) * kWordsPerSeg;
     }
     switch (ins.op) {
       case Op::kLoad:
@@ -306,7 +308,7 @@ void RunSegment(const EvalProgram& p, uint64_t* scratch, size_t words_per_seg,
     }
   }
   std::memcpy(out_words + w0,
-              scratch + static_cast<size_t>(p.result_reg) * words_per_seg,
+              scratch + static_cast<size_t>(p.result_reg) * kWordsPerSeg,
               len * sizeof(uint64_t));
 }
 
@@ -333,8 +335,7 @@ EvalProgram RecordEvalProgram(const BitmapSource& source,
   return recorder.Finish(std::move(result));
 }
 
-Bitvector ReplayProgram(const EvalProgram& p, int lanes,
-                        const SegmentScheduler& schedule) {
+Bitvector ReplayProgram(const EvalProgram& p) {
   // Trivial program: an input passes through untouched.
   if (p.result_input >= 0) {
     return *p.inputs[static_cast<size_t>(p.result_input)];
@@ -343,32 +344,20 @@ Bitvector ReplayProgram(const EvalProgram& p, int lanes,
   Bitvector out = Bitvector::Zeros(p.num_bits);
   if (p.num_bits == 0) return out;
 
-  constexpr size_t kWordsPerSeg = (size_t{1} << kSegmentBits) / 64;
   const size_t num_words = out.mutable_words().size();
-  const size_t num_segments = (num_words + kWordsPerSeg - 1) / kWordsPerSeg;
   const uint64_t tail_bits = p.num_bits & 63;
   const uint64_t tail_mask =
       tail_bits != 0 ? (uint64_t{1} << tail_bits) - 1 : ~uint64_t{0};
-  if (!schedule) lanes = 1;
-  lanes = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(1, lanes)), num_segments));
 
-  // Per-lane scratch: num_regs slots of one segment each, so a lane's whole
-  // working set is num_regs * 8 KB (a few slots after finalization).
-  const size_t lane_words = static_cast<size_t>(p.num_regs) * kWordsPerSeg;
-  std::vector<uint64_t> scratch(static_cast<size_t>(lanes) * lane_words);
+  // num_regs slots of one segment each, so the whole working set is
+  // num_regs * 8 KB (a few slots after finalization).
+  std::vector<uint64_t> scratch(static_cast<size_t>(p.num_regs) *
+                                kWordsPerSeg);
   uint64_t* out_words = out.mutable_words().data();
-  auto segment = [&](size_t seg, int lane) {
-    const size_t w0 = seg * kWordsPerSeg;
+  for (size_t w0 = 0; w0 < num_words; w0 += kWordsPerSeg) {
     const size_t len = std::min(kWordsPerSeg, num_words - w0);
     const bool has_tail = tail_bits != 0 && w0 + len == num_words;
-    RunSegment(p, scratch.data() + static_cast<size_t>(lane) * lane_words,
-               kWordsPerSeg, w0, len, has_tail, tail_mask, out_words);
-  };
-  if (lanes > 1) {
-    schedule(num_segments, lanes, segment);
-  } else {
-    for (size_t seg = 0; seg < num_segments; ++seg) segment(seg, 0);
+    RunSegment(p, scratch.data(), w0, len, has_tail, tail_mask, out_words);
   }
   return out;
 }
@@ -398,46 +387,6 @@ void RecordQueryMetrics(const EvalStats& delta, int64_t latency_ns) {
   bytes_read.Increment(delta.bytes_read);
   latency.Observe(latency_ns);
   scans_per_query.Observe(delta.bitmap_scans);
-}
-
-Bitvector EvaluateDense(const BitmapSource& source, EvalAlgorithm algorithm,
-                        CompareOp op, int64_t v, int lanes,
-                        const SegmentScheduler& schedule, EvalStats* stats) {
-  algorithm = ResolveAlgorithm(source.encoding(), algorithm);
-  // Stats are always collected (into a local when the caller passed none) so
-  // the registry sees every evaluation; `before` isolates this query's delta
-  // when the caller accumulates across queries.
-  EvalStats local;
-  EvalStats* s = stats != nullptr ? stats : &local;
-  const EvalStats before = *s;
-
-  obs::TraceSpan span("eval", ToString(algorithm).data());
-  span.set_value(v);
-  if (span.active()) {
-    std::string detail(ToString(op));
-    if (lanes > 1) detail += " lanes=" + std::to_string(lanes);
-    span.set_detail(std::move(detail));
-  }
-  obs::ProfSpan prof("eval", ToString(algorithm));
-
-  const auto start = std::chrono::steady_clock::now();
-  EvalProgram program;
-  {
-    obs::ProfSpan record_span("eval", "record program");
-    program = RecordEvalProgram(source, algorithm, op, v, s);
-  }
-  Bitvector result;
-  {
-    obs::ProfSpan replay_span("eval", "replay segments");
-    result = ReplayProgram(program, lanes, schedule);
-  }
-  const int64_t latency_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-
-  RecordQueryMetrics(EvalStats::Delta(*s, before), latency_ns);
-  return result;
 }
 
 }  // namespace eval_internal
@@ -473,8 +422,37 @@ Bitvector EqualityEval(const BitmapSource& src, CompareOp op, int64_t v,
 Bitvector EvaluatePredicate(const BitmapSource& source,
                             EvalAlgorithm algorithm, CompareOp op, int64_t v,
                             EvalStats* stats) {
-  return eval_internal::EvaluateDense(source, algorithm, op, v, /*lanes=*/1,
-                                      {}, stats);
+  algorithm = ResolveAlgorithm(source.encoding(), algorithm);
+  // Stats are always collected (into a local when the caller passed none) so
+  // the registry sees every evaluation; `before` isolates this query's delta
+  // when the caller accumulates across queries.
+  EvalStats local;
+  EvalStats* s = stats != nullptr ? stats : &local;
+  const EvalStats before = *s;
+
+  obs::TraceSpan span("eval", ToString(algorithm).data());
+  span.set_value(v);
+  if (span.active()) span.set_detail(std::string(ToString(op)));
+  obs::ProfSpan prof("eval", ToString(algorithm));
+
+  const auto start = std::chrono::steady_clock::now();
+  EvalProgram program;
+  {
+    obs::ProfSpan record_span("eval", "record program");
+    program = RecordEvalProgram(source, algorithm, op, v, s);
+  }
+  Bitvector result;
+  {
+    obs::ProfSpan replay_span("eval", "replay segments");
+    result = ReplayProgram(program);
+  }
+  const int64_t latency_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+
+  eval_internal::RecordQueryMetrics(EvalStats::Delta(*s, before), latency_ns);
+  return result;
 }
 
 }  // namespace bix

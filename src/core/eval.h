@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "bitmap/bitvector.h"
@@ -64,13 +63,12 @@ const char* ToString(EngineKind kind);
 
 /// Execution knobs for the evaluation engines (exec/segmented_eval.h
 /// implements the overload of EvaluatePredicate that takes these).
-/// `num_threads` is the number of lanes that replay one dense evaluation's
-/// segments (1 = the calling thread alone, no pool).  `engine` selects the
-/// operator substrate; the compressed-domain engine is single-threaded
-/// (runs, not segments, are its unit of work), so kAuto ignores
-/// `num_threads`.  Results are bit-identical and EvalStats equal
-/// under every setting: lanes and compressed execution reassociate the work,
-/// they never reorder the algorithm.
+/// `engine` selects the operator substrate.  Both engines run on the calling
+/// thread; results are bit-identical and EvalStats equal under either, since
+/// compressed execution moves the work without reordering the algorithm.
+/// `num_threads` must be 1 (anything else aborts).  It remains only because
+/// perfbench still assigns it, and goes when perfbench stops doing so
+/// (ROADMAP item 1, "Lanes inside a query").
 struct ExecOptions {
   int num_threads = 1;
   EngineKind engine = EngineKind::kPlain;
@@ -142,7 +140,7 @@ struct EvalProgram {
   std::vector<EvalInstr> instrs;
   int32_t result_reg = -1;    // scratch slot holding the result, or
   int32_t result_input = -1;  // input returned untouched (trivial results)
-  int32_t num_regs = 0;       // scratch slots per lane after finalization
+  int32_t num_regs = 0;       // scratch slots after finalization
 };
 
 /// Records `A op v` over `source` into a program without executing any
@@ -153,19 +151,10 @@ EvalProgram RecordEvalProgram(const BitmapSource& source,
                               EvalAlgorithm algorithm, CompareOp op, int64_t v,
                               EvalStats* stats = nullptr);
 
-/// Runs `segment(index, lane)` once for every index in [0, num_segments),
-/// each call on one of the lanes 0 .. lanes-1.
-using SegmentScheduler = std::function<void(
-    size_t num_segments, int lanes,
-    const std::function<void(size_t index, int lane)>& segment)>;
-
-/// Replays a recorded program segment-at-a-time and returns its result.
-/// Replaying charges no stats and may be repeated.  `lanes` (clamped to the
-/// segment count) is how many segments may run at once; with more than one,
-/// `schedule` spreads them across the lanes.  Without a `schedule`, or on
-/// one lane, the segments run in order on the calling thread.
-Bitvector ReplayProgram(const EvalProgram& program, int lanes = 1,
-                        const SegmentScheduler& schedule = {});
+/// Replays a recorded program segment-at-a-time, in order, on the calling
+/// thread and returns its result.  Replaying charges no stats and may be
+/// repeated.
+Bitvector ReplayProgram(const EvalProgram& program);
 
 namespace eval_internal {
 
@@ -174,13 +163,6 @@ namespace eval_internal {
 /// with the compressed-domain engine (exec/wah_engine.cc) so both engines
 /// feed the same eval.* metrics.
 void RecordQueryMetrics(const EvalStats& delta, int64_t latency_ns);
-
-/// The dense evaluation behind both EvaluatePredicate overloads: record,
-/// then replay on `lanes` lanes (see ReplayProgram), inside the one eval.*
-/// trace/profile/metrics envelope.
-Bitvector EvaluateDense(const BitmapSource& source, EvalAlgorithm algorithm,
-                        CompareOp op, int64_t v, int lanes,
-                        const SegmentScheduler& schedule, EvalStats* stats);
 
 }  // namespace eval_internal
 

@@ -8,7 +8,7 @@
 //
 //  * the dense recording engine in core/eval.cc, which captures the
 //    operation DAG into a small program that is then replayed
-//    segment-at-a-time (on one lane, or across a thread pool), and
+//    segment-at-a-time on the calling thread, and
 //  * the compressed-domain engine in exec/wah_engine.cc, which runs each
 //    operation on WAH code words or dense words, chosen per operand.
 //

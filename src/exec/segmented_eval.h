@@ -2,10 +2,8 @@
 //
 // It dispatches on `options.engine`: kAuto runs the compressed-domain
 // engine (exec/wah_engine.h); kPlain runs core's record and replay
-// (core/eval.h) with its segments spread across `options.num_threads`
-// lanes of the shared thread pool (exec/thread_pool.h).  Segments are independent spans of the same
-// operator chain, so lanes reassociate the work without reordering the
-// algorithm: results are bit-identical to one lane and EvalStats are equal.
+// (core/eval.h).  Both run on the calling thread and produce bit-identical
+// results with equal EvalStats.
 
 #ifndef BIX_EXEC_SEGMENTED_EVAL_H_
 #define BIX_EXEC_SEGMENTED_EVAL_H_
@@ -20,9 +18,9 @@
 
 namespace bix {
 
-/// core/eval.h's EvaluatePredicate on the engine and lane count `options`
-/// name: bit-identical result, identical EvalStats, same eval.* metrics
-/// envelope.  Multi-lane runs set the exec.parallel_speedup gauge.
+/// core/eval.h's EvaluatePredicate on the engine `options` names:
+/// bit-identical result, identical EvalStats, same eval.* metrics envelope.
+/// Aborts unless `options.num_threads` is 1.
 Bitvector EvaluatePredicate(const BitmapSource& source,
                             EvalAlgorithm algorithm, CompareOp op, int64_t v,
                             const ExecOptions& options,

@@ -1,12 +1,13 @@
-// Fixed-size thread pool for segment-parallel bitmap evaluation.
+// Fixed-size thread pool for the serve layer's lanes across queries
+// (serve/service.h): each task is one whole query of a batch, and every
+// query evaluates on the lane that claimed it.
 //
-// Deliberately work-stealing-free: the unit of work here is a cache-sized
-// bitmap segment, every segment costs nearly the same, and tasks are claimed
-// from a single atomic cursor — a stealing deque would add complexity with
-// nothing to steal.  One ParallelFor runs at a time (submissions serialize);
-// the calling thread participates in the work rather than idling, so a
-// `max_workers == 0` call degrades gracefully to an inline loop and a pool
-// is never required for a one-lane run.
+// Deliberately work-stealing-free: tasks are claimed from a single atomic
+// cursor, and a query never submits nested work, so a stealing deque would
+// add complexity with nothing to steal.  One ParallelFor runs at a time
+// (submissions serialize); the calling thread participates in the work
+// rather than idling, so a `max_workers == 0` call degrades gracefully to an
+// inline loop and a pool is never required for a one-lane run.
 //
 // Exception policy: a throwing task does not cancel its siblings — every
 // task is always attempted exactly once (deterministic side effects) — and
@@ -88,12 +89,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Process-wide pool shared by multi-lane replay and the serve layer,
-/// resized upward on demand (never shrunk).  Growing replaces the pool, so
-/// the returned reference is valid only until a later call asks for more
-/// workers — use it immediately rather than caching it.  Growing while
-/// another thread runs a ParallelFor is not supported; in this codebase all
-/// users submit from the top level of a query, which serializes naturally.
+/// Process-wide pool behind the serve layer's lanes, resized upward on
+/// demand (never shrunk).  Growing replaces the pool, so the returned
+/// reference is valid only until a later call asks for more workers — use it
+/// immediately rather than caching it.  Growing while another thread runs a
+/// ParallelFor is not supported; the serve layer submits from the top level
+/// of a batch, which serializes naturally.
 ThreadPool& SharedPool(int min_workers);
 
 }  // namespace bix::exec

@@ -17,8 +17,8 @@
 //    exactly to their parent by construction.
 //  * Worker threads inherit the submitting span: the thread pool captures
 //    CurrentHandle() at batch submission and wraps each drain in a
-//    ProfAdopt, so replay segments run on pool lanes attribute into the
-//    owning query's node instead of vanishing.
+//    ProfAdopt, so queries a serve batch runs on pool lanes attribute into
+//    the batch's span instead of vanishing.
 //
 // Cost discipline mirrors the tracer: disabled, every ProfCount and
 // ProfSpan is one relaxed atomic load.  Enabled, counter increments are a
@@ -130,8 +130,8 @@ class ProfSpan {
 };
 
 /// RAII adoption of another thread's span as this thread's current node.
-/// Used by the thread pool so batch tasks attribute into the submitter's
-/// span.  No wall time is recorded — the submitting span's clock is
+/// Used by the thread pool so the queries of a serve batch attribute into
+/// the submitter's span.  No wall time is recorded — the submitting span's clock is
 /// already running.
 class ProfAdopt {
  public:

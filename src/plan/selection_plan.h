@@ -92,8 +92,8 @@ class SelectionPlanner {
   explicit SelectionPlanner(const Table& table) : table_(table) {}
 
   /// Execution knobs for P3's bitmap probes, which run one after another,
-  /// each on the engine and lane count these name (exec/segmented_eval.h);
-  /// the probed foundsets are combined with the fused k-ary AND kernel
+  /// each on the engine these name (exec/segmented_eval.h); the probed
+  /// foundsets are combined with the fused k-ary AND kernel
   /// (Bitvector::AndOfMany).  The compressed engine hands back dense
   /// foundsets, and RID probes are dense either way.  P2 always probes with
   /// the defaults.  Foundsets and cost accounting are identical to default

@@ -94,9 +94,8 @@ ServeResult QueryService::RunOne(const AdmittedQuery& admitted) {
 
   const bool wah_direct = index->scheme() == StorageScheme::kBitmapLevel &&
                           index->codec().name() == "wah";
-  ExecOptions exec;
-  exec.num_threads = 1;  // parallelism lives across queries, not within
-  exec.engine = options_.engine;
+  // Parallelism lives across queries (RunPending), not within one.
+  const ExecOptions exec{.engine = options_.engine};
 
   Bitvector foundset;
   if (options_.share_operands) {

@@ -1,8 +1,7 @@
 // Property harness for the evaluation engines: over random index designs
 // (cardinality, base sequence, encoding, bit density, row count) both
-// engines — plain on one lane and on three, and the per-operand
-// compressed-domain auto engine, also through EvaluateToWah's compressed
-// result — must produce bit-identical foundsets AND identical EvalStats for
+// engines — plain, and the per-operand compressed-domain auto engine, also
+// through EvaluateToWah's compressed result — must produce bit-identical foundsets AND identical EvalStats for
 // all six comparison operators at every v in [0, C), against the scan
 // oracle, over both a dense in-memory index and a WAH-compressed source.
 // Every engine's scan count must also equal the cost model's closed form
@@ -108,7 +107,6 @@ bool SweepFails(const Design& d, Mismatch* out) {
     algorithms = {EvalAlgorithm::kEqualityEval};
   }
 
-  const ExecOptions kThreeLanes{.num_threads = 3};
   const ExecOptions kAutoEngine{.engine = EngineKind::kAuto};
 
   for (CompareOp op : kAllCompareOps) {
@@ -125,8 +123,7 @@ bool SweepFails(const Design& d, Mismatch* out) {
             const char* name;
             const ExecOptions* options;
           };
-          const Variant variants[] = {{"plain x3 lanes", &kThreeLanes},
-                                      {"auto", &kAutoEngine},
+          const Variant variants[] = {{"auto", &kAutoEngine},
                                       {"auto to-wah", nullptr}};
           auto report = [&](const char* engine, const char* what) {
             std::ostringstream os;
@@ -294,7 +291,7 @@ TEST(EngineDifferentialTest, EdgeDesigns) {
 
 // Designs whose rows span three full replay segments (core/eval.h's
 // kSegmentBits) plus a tail segment ending in a partial word, so every
-// engine crosses segment seams and the tail mask, on one lane and on three.
+// engine crosses segment seams and the tail mask.
 TEST(EngineDifferentialTest, MultiSegmentDesigns) {
   constexpr size_t kRows = 3 * (size_t{1} << kSegmentBits) + 37;
   std::mt19937_64 rng(20261018);

@@ -1,13 +1,10 @@
 // ThreadPool semantics (task coverage, lane budget, exception policy,
 // reuse, concurrent submitters) and bit-exactness of dense record and
-// replay, on one lane and on several, against the scan oracle across the
-// query space, with scans equal to the cost model's closed form and
-// EvalStats equal across lane counts: lanes are a pure reassociation, so
-// the paper's cost model must keep holding under them.
+// replay against the scan oracle across the query space, over one segment
+// and several, with scans equal to the cost model's closed form.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -116,7 +113,7 @@ TEST(ThreadPoolTest, SharedPoolGrowsAndNeverShrinks) {
 }
 
 // ---------------------------------------------------------------------------
-// Record and replay across segments and lanes
+// Record and replay across segments
 
 // Rows per replay segment (core/eval.h's kSegmentBits).
 constexpr size_t kSegmentRows = size_t{1} << kSegmentBits;
@@ -166,7 +163,7 @@ std::vector<Query> QueriesFor(uint32_t cardinality) {
 
 class SegmentedSweepTest : public ::testing::TestWithParam<ExecSweepCase> {};
 
-TEST_P(SegmentedSweepTest, EveryLaneCountMatchesScanOracleWithModelScans) {
+TEST_P(SegmentedSweepTest, MatchesScanOracleWithModelScans) {
   const ExecSweepCase& c = GetParam();
   std::vector<uint32_t> values = MakeColumn(c.cardinality, c.num_rows,
                                             c.with_nulls, 77 + c.cardinality);
@@ -192,30 +189,16 @@ TEST_P(SegmentedSweepTest, EveryLaneCountMatchesScanOracleWithModelScans) {
       if (alg.encoding != enc) continue;
       for (const Query& q : QueriesFor(c.cardinality)) {
         const Bitvector expected = ScanEvaluate(values, q.op, q.v);
-        EvalStats one_lane_stats;
-        Bitvector one_lane = EvaluatePredicate(index, alg.algorithm, q.op,
-                                               q.v, &one_lane_stats);
-        ASSERT_EQ(one_lane, expected)
+        EvalStats stats;
+        Bitvector result =
+            EvaluatePredicate(index, alg.algorithm, q.op, q.v, &stats);
+        ASSERT_EQ(result, expected)
             << "base=" << base.ToString() << " alg=" << ToString(alg.algorithm)
-            << " op=" << ToString(q.op) << " v=" << q.v << " lanes=1";
-        ASSERT_EQ(one_lane_stats.bitmap_scans,
+            << " op=" << ToString(q.op) << " v=" << q.v;
+        ASSERT_EQ(stats.bitmap_scans,
                   ModelScans(base, c.cardinality, enc, alg.algorithm, q.op,
                              q.v))
             << "scans drift from the model: base=" << base.ToString()
-            << " alg=" << ToString(alg.algorithm) << " op=" << ToString(q.op)
-            << " v=" << q.v;
-        // 3 lanes exceed the segment count of the smallest case, exercising
-        // the lane clamp.
-        EvalStats three_lane_stats;
-        Bitvector three_lanes =
-            EvaluatePredicate(index, alg.algorithm, q.op, q.v,
-                              ExecOptions{.num_threads = 3},
-                              &three_lane_stats);
-        ASSERT_EQ(three_lanes, expected)
-            << "base=" << base.ToString() << " alg=" << ToString(alg.algorithm)
-            << " op=" << ToString(q.op) << " v=" << q.v << " lanes=3";
-        ASSERT_EQ(three_lane_stats, one_lane_stats)
-            << "stats drift across lanes: base=" << base.ToString()
             << " alg=" << ToString(alg.algorithm) << " op=" << ToString(q.op)
             << " v=" << q.v;
       }
@@ -282,8 +265,7 @@ TEST(SegmentedEvalTest, TrivialResultsNeedNoInstructions) {
 // Every algorithm ends by ANDing with an operand whose tail is clear (B_nn),
 // which would hide a dirty tail left behind by NOT or ONES.  These programs
 // end on those instructions, so the replay kernel's tail mask is checked
-// directly, across segment seams, on one lane and on three lanes that take
-// the segments in reverse order.
+// directly, across segment seams.
 TEST(SegmentedEvalTest, NotAndOnesKeepTheTailClear) {
   using Op = EvalInstr::Op;
   const size_t rows = 3 * kSegmentRows + 37;
@@ -304,17 +286,8 @@ TEST(SegmentedEvalTest, NotAndOnesKeepTheTailClear) {
   ones_program.result_reg = 0;
   ones_program.num_regs = 1;
 
-  const SegmentScheduler reversed =
-      [](size_t num_segments, int lanes,
-         const std::function<void(size_t, int)>& segment) {
-        for (size_t seg = num_segments; seg-- > 0;) {
-          segment(seg, static_cast<int>(seg % static_cast<size_t>(lanes)));
-        }
-      };
   EXPECT_EQ(ReplayProgram(not_program), negated);
-  EXPECT_EQ(ReplayProgram(not_program, 3, reversed), negated);
   EXPECT_EQ(ReplayProgram(ones_program), Bitvector::Ones(rows));
-  EXPECT_EQ(ReplayProgram(ones_program, 3, reversed), Bitvector::Ones(rows));
 }
 
 // ---------------------------------------------------------------------------
@@ -476,13 +449,13 @@ TEST(WahAutoKeepRuleTest, MatchesPlainOnClusteredAndNoisySources) {
   EXPECT_GT(CounterValue("wah_engine.inflated_operands") - i0, 0);
 }
 
-// TSan target (scripts/check.sh --tsan runs *Segmented*): kAuto queries on
-// one shared compressed source from several threads at once (the lane
-// count does not apply to the compressed engine) must agree with the plain
-// result and be data-race-free (the rule reads no shared mutable state).
+// TSan target (scripts/check.sh --tsan runs *Segmented*): plain and kAuto
+// queries on one shared compressed source from several threads at once, each
+// replaying a multi-segment program on its own thread, must agree with the
+// uncompressed result and be data-race-free.
 TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
   BitmapIndex index = BitmapIndex::Build(
-      MakeColumn(9, 3000, true, 20261020), 9,
+      MakeColumn(9, 2 * kSegmentRows + 37, true, 20261020), 9,
       BaseSequence::FromMsbFirst({3, 3}), Encoding::kEquality);
   WahCompressedSource source(index);
   const Bitvector expected =
@@ -492,9 +465,9 @@ TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] {
-      const ExecOptions options{.num_threads = 2,
-                                .engine = EngineKind::kAuto};
       for (int i = 0; i < 30; ++i) {
+        const ExecOptions options{.engine = i % 2 == 0 ? EngineKind::kPlain
+                                                       : EngineKind::kAuto};
         Bitvector got = EvaluatePredicate(
             source, EvalAlgorithm::kEqualityEval, CompareOp::kGe, 4, options);
         if (!(got == expected)) mismatch.store(true);
@@ -503,6 +476,15 @@ TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(mismatch.load());
+}
+
+TEST(ExecOptionsDeathTest, MoreThanOneThreadAborts) {
+  BitmapIndex index = BitmapIndex::Build(MakeColumn(9, 100, false, 1), 9,
+                                         BaseSequence::FromMsbFirst({3, 3}),
+                                         Encoding::kRange);
+  EXPECT_DEATH(EvaluatePredicate(index, EvalAlgorithm::kAuto, CompareOp::kLe,
+                                 4, ExecOptions{.num_threads = 2}),
+               "num_threads == 1");
 }
 
 }  // namespace

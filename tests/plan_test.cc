@@ -56,31 +56,6 @@ TEST(SelectionPlanTest, AllPlansAgreeOnTheFoundset) {
   }
 }
 
-TEST(SelectionPlanTest, ParallelIndexMergeMatchesSequential) {
-  Table table = MakeTable(5000);
-  const ConjunctiveQuery queries[] = {
-      {{0, CompareOp::kLe, 9}, {1, CompareOp::kGt, 5}},
-      {{0, CompareOp::kGe, 45},
-       {1, CompareOp::kNe, 3},
-       {2, CompareOp::kLt, 1200}},
-  };
-  SelectionPlanner sequential(table);
-  SelectionPlanner parallel(table);
-  parallel.set_exec_options(ExecOptions{.num_threads = 3});
-  const PlanEstimate merge{PlanKind::kIndexMerge, -1, 0};
-  for (const ConjunctiveQuery& query : queries) {
-    ExecutionResult seq = sequential.Execute(query, merge);
-    ExecutionResult par = parallel.Execute(query, merge);
-    EXPECT_EQ(par.foundset, seq.foundset);
-    // Cost accounting must be invariant under the lane count.
-    EXPECT_EQ(par.bytes_read, seq.bytes_read);
-    EXPECT_EQ(par.bitmap_scans, seq.bitmap_scans);
-    EXPECT_EQ(par.rids_read, seq.rids_read);
-    EXPECT_EQ(par.tuples_read, seq.tuples_read);
-    EXPECT_EQ(par.foundset, Oracle(table, query));
-  }
-}
-
 TEST(SelectionPlanTest, FullScanCostsTheWholeRelation) {
   Table table = MakeTable(3000);
   SelectionPlanner planner(table);

@@ -2,8 +2,7 @@
 //
 // The load-bearing property is *conservation*: for one profiled query, the
 // counters attributed across the span tree must sum exactly to the delta the
-// process-wide registry saw — on every engine and lane count (pool lanes
-// attribute through ProfAdopt).  Time conservation is
+// process-wide registry saw — on every engine.  Time conservation is
 // structural (inclusive = self + children by construction) so it is not
 // asserted against wall clocks.
 
@@ -276,24 +275,20 @@ RegistryDelta SnapshotEvalCounters() {
   };
 }
 
-class ProfileConservationTest : public ::testing::TestWithParam<ExecOptions> {
+class ProfileConservationTest : public ::testing::TestWithParam<EngineKind> {
 };
 
 // One profiled query on a BS-scheme stored index: the span tree's inclusive
 // root counters must equal the registry delta exactly, whichever engine ran
-// it and however many threads it used.  (BS is the scheme whose preload
-// bytes all flow through the profiled fetch path; CS/IS preload in the
-// source constructor before spans exist.)  A multi-lane instance gets three
-// full replay segments plus a partial one, so pool lanes replay some of them
-// and attribute through ProfAdopt; the auto engine ignores the lane count,
-// so its multi-lane instance must conserve without touching the pool.
+// it.  (BS is the scheme whose preload bytes all flow through the profiled
+// fetch path; CS/IS preload in the source constructor before spans exist.)
+// The index spans three full replay segments plus a partial one, so the
+// replay crosses segment seams inside the profiled query.
 TEST_P(ProfileConservationTest, RootCountersMatchRegistryDelta) {
-  const ExecOptions exec = GetParam();
+  const ExecOptions exec{.engine = GetParam()};
 
   const uint32_t c = 50;
-  const size_t rows = exec.num_threads > 1
-                          ? 3 * (size_t{1} << kSegmentBits) + 37
-                          : 4000;
+  const size_t rows = 3 * (size_t{1} << kSegmentBits) + 37;
   std::vector<uint32_t> values = GenerateUniform(rows, c, 23);
   BaseSequence base = BaseSequence::FromMsbFirst({8, 7});
   BitmapIndex index =
@@ -305,10 +300,6 @@ TEST_P(ProfileConservationTest, RootCountersMatchRegistryDelta) {
                                  *CodecByName("none"), &stored)
                   .ok());
 
-  // Set only by a replay that ran on pool lanes (exec/segmented_eval.cc).
-  obs::Gauge& speedup =
-      obs::MetricsRegistry::Global().GetGauge("exec.parallel_speedup");
-  speedup.Set(0);
   const RegistryDelta before = SnapshotEvalCounters();
   auto& profiler = obs::Profiler::Global();
   profiler.Enable();
@@ -347,30 +338,13 @@ TEST_P(ProfileConservationTest, RootCountersMatchRegistryDelta) {
             stats.TotalOps());
   // And something actually ran under the root (the stored-eval span).
   ASSERT_FALSE(root.children.empty());
-  if (exec.engine == EngineKind::kPlain && exec.num_threads > 1) {
-    EXPECT_GT(speedup.value(), 0) << "the replay never reached the pool";
-  }
-  if (exec.engine == EngineKind::kAuto) {
-    EXPECT_EQ(speedup.value(), 0) << "the auto engine ran on the pool";
-  }
-}
-
-ExecOptions MakeExec(EngineKind engine, int threads) {
-  ExecOptions exec;
-  exec.engine = engine;
-  exec.num_threads = threads;
-  return exec;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ProfileConservationTest,
-    ::testing::Values(MakeExec(EngineKind::kPlain, 1),
-                      MakeExec(EngineKind::kPlain, 4),
-                      MakeExec(EngineKind::kAuto, 1),
-                      MakeExec(EngineKind::kAuto, 4)),
-    [](const ::testing::TestParamInfo<ExecOptions>& info) {
-      return std::string(ToString(info.param.engine)) + "_t" +
-             std::to_string(info.param.num_threads);
+    ::testing::Values(EngineKind::kPlain, EngineKind::kAuto),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(ToString(info.param));
     });
 
 }  // namespace

@@ -142,28 +142,6 @@ bool ParseEngineFlag(const Flags& flags, EngineKind* out) {
   return true;
 }
 
-// Engine options from --threads / --engine; nullopt when neither flag is
-// given, so the query runs with the default ExecOptions.
-std::optional<ExecOptions> ExecOptionsFromFlags(const Flags& flags,
-                                                bool* bad_engine) {
-  *bad_engine = false;
-  if (!flags.Has("threads") && !flags.Has("engine")) return std::nullopt;
-  ExecOptions options;
-  options.num_threads =
-      static_cast<int>(flags.GetInt("threads").value_or(1));
-  *bad_engine = !ParseEngineFlag(flags, &options.engine);
-  return options;
-}
-
-void PrintParallelSpeedup() {
-  auto& gauge =
-      obs::MetricsRegistry::Global().GetGauge("exec.parallel_speedup");
-  if (gauge.value() > 0) {
-    std::printf("parallel speedup: %.2fx (busy/wall over segments)\n",
-                static_cast<double>(gauge.value()) / 100.0);
-  }
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -176,11 +154,10 @@ int Usage() {
                "  bixctl query   --dir D --pred \"<= 24\" [--limit K] "
                "[--stats]\n"
                "                 [--trace-out FILE] [--flame-out FILE] "
-               "[--threads N]\n"
-               "                 [--engine plain|auto]\n"
+               "[--engine plain|auto]\n"
                "  bixctl explain --dir D --pred \"<= 24\" [--analyze] "
                "[--flame-out FILE]\n"
-               "                 [--threads N] [--engine plain|auto]\n"
+               "                 [--engine plain|auto]\n"
                "  bixctl append  --dir D --values \"24,36,null,..\"\n"
                "  bixctl delete  --dir D (--rows \"0,5,..\" | --pred "
                "\"<= 24\")\n"
@@ -202,6 +179,14 @@ int Usage() {
                "[--out FILE]\n"
                "(any command: --metrics-out FILE dumps Prometheus metrics)\n");
   return 2;
+}
+
+// query and explain evaluate on the calling thread, so --threads there is a
+// usage error rather than a flag that is silently ignored.
+int ThreadsUsage() {
+  std::fprintf(stderr,
+               "bixctl: --threads applies only to serve and bench-serve\n");
+  return Usage();
 }
 
 bool WriteTextFile(const std::string& path, const std::string& text) {
@@ -400,6 +385,7 @@ int CmdQuery(const Flags& flags) {
   auto dir = flags.Get("dir");
   auto pred_text = flags.Get("pred");
   if (!dir || !pred_text) return Usage();
+  if (flags.Has("threads")) return ThreadsUsage();
   int64_t limit = flags.GetInt("limit").value_or(10);
   auto trace_out = flags.Get("trace-out");
   auto flame_out = flags.Get("flame-out");
@@ -425,13 +411,12 @@ int CmdQuery(const Flags& flags) {
   if (flame_out) obs::Profiler::Global().Enable();
   EvalStats stats;
   double decompress_seconds = 0;
-  bool bad_engine = false;
-  std::optional<ExecOptions> exec = ExecOptionsFromFlags(flags, &bad_engine);
-  if (bad_engine) return Fail(kBadEngine);
+  ExecOptions exec;
+  if (!ParseEngineFlag(flags, &exec.engine)) return Fail(kBadEngine);
   Status eval_status;
   Bitvector found = stored->Evaluate(EvalAlgorithm::kAuto, rank_op, rank_v,
                                      &stats, &decompress_seconds, &eval_status,
-                                     exec ? &*exec : nullptr);
+                                     &exec);
   if (!eval_status.ok()) return Fail(eval_status.ToString());
   if (trace_out) {
     obs::Tracer::Global().Disable();
@@ -456,7 +441,6 @@ int CmdQuery(const Flags& flags) {
               static_cast<long long>(stats.bitmap_scans),
               static_cast<long long>(stats.bytes_read),
               1000 * decompress_seconds);
-  if (exec) PrintParallelSpeedup();
   if (limit > 0 && found.Any()) {
     std::printf("first rows:");
     int64_t shown = 0;
@@ -491,6 +475,7 @@ int CmdExplain(const Flags& flags) {
   auto dir = flags.Get("dir");
   auto pred_text = flags.Get("pred");
   if (!dir || !pred_text) return Usage();
+  if (flags.Has("threads")) return ThreadsUsage();
 
   std::unique_ptr<StoredIndex> stored;
   Status s = StoredIndex::Open(*dir, &stored);
@@ -547,16 +532,15 @@ int CmdExplain(const Flags& flags) {
 
   EvalStats measured;
   double decompress_seconds = 0;
-  bool bad_engine = false;
-  std::optional<ExecOptions> exec = ExecOptionsFromFlags(flags, &bad_engine);
-  if (bad_engine) return Fail(kBadEngine);
+  ExecOptions exec;
+  if (!ParseEngineFlag(flags, &exec.engine)) return Fail(kBadEngine);
   const bool analyze = flags.Has("analyze");
   auto flame_out = flags.Get("flame-out");
   if (analyze || flame_out) obs::Profiler::Global().Enable();
   Status eval_status;
   Bitvector found = stored->Evaluate(algorithm, rank_op, rank_v, &measured,
                                      &decompress_seconds, &eval_status,
-                                     exec ? &*exec : nullptr);
+                                     &exec);
   std::optional<obs::QueryProfile> profile;
   if (analyze || flame_out) {
     profile = obs::CaptureProfile();
@@ -578,7 +562,6 @@ int CmdExplain(const Flags& flags) {
                          : "DRIFT — measured diverges from the cost model",
               static_cast<long long>(audit.scan_drift()),
               static_cast<long long>(audit.op_drift()));
-  if (exec) PrintParallelSpeedup();
   if (analyze) {
     std::printf("-- analyze --\n%s", profile->ToText().c_str());
   }
