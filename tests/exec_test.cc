@@ -478,6 +478,42 @@ TEST(WahAutoKeepRuleTest, SegmentedConcurrentQueriesAgree) {
   EXPECT_FALSE(mismatch.load());
 }
 
+// The ExecOptions overload is a dispatch on the engine: kPlain is core's
+// one-lane replay, which counts no wah_engine.* operation, and kAuto is the
+// compressed-domain engine, which does.  Both return the replay's result
+// with equal EvalStats over a source spanning several replay segments.
+TEST(SegmentedEvalTest, ExecOptionsDispatchOnTheEngine) {
+  const std::vector<uint32_t> values =
+      MakeColumn(9, 2 * kSegmentRows + 37, true, 20261021);
+  BitmapIndex index = BitmapIndex::Build(
+      values, 9, BaseSequence::FromMsbFirst({3, 3}), Encoding::kEquality);
+  WahCompressedSource source(index);
+  const Bitvector expected = ScanEvaluate(values, CompareOp::kGe, 4);
+  EvalStats core_stats;
+  ASSERT_EQ(EvaluatePredicate(source, EvalAlgorithm::kEqualityEval,
+                              CompareOp::kGe, 4, &core_stats),
+            expected);
+
+  for (EngineKind engine : {EngineKind::kPlain, EngineKind::kAuto}) {
+    const int64_t c0 = CounterValue("wah_engine.compressed_ops");
+    const int64_t p0 = CounterValue("wah_engine.plain_ops");
+    EvalStats stats;
+    EXPECT_EQ(EvaluatePredicate(source, EvalAlgorithm::kEqualityEval,
+                                CompareOp::kGe, 4,
+                                ExecOptions{.engine = engine}, &stats),
+              expected)
+        << ToString(engine);
+    EXPECT_EQ(stats, core_stats) << ToString(engine);
+    const int64_t engine_ops = CounterValue("wah_engine.compressed_ops") -
+                               c0 + CounterValue("wah_engine.plain_ops") - p0;
+    if (engine == EngineKind::kPlain) {
+      EXPECT_EQ(engine_ops, 0) << "kPlain ran the compressed-domain engine";
+    } else {
+      EXPECT_GT(engine_ops, 0) << "kAuto never reached the compressed engine";
+    }
+  }
+}
+
 TEST(ExecOptionsDeathTest, MoreThanOneThreadAborts) {
   BitmapIndex index = BitmapIndex::Build(MakeColumn(9, 100, false, 1), 9,
                                          BaseSequence::FromMsbFirst({3, 3}),
@@ -485,6 +521,21 @@ TEST(ExecOptionsDeathTest, MoreThanOneThreadAborts) {
   EXPECT_DEATH(EvaluatePredicate(index, EvalAlgorithm::kAuto, CompareOp::kLe,
                                  4, ExecOptions{.num_threads = 2}),
                "num_threads == 1");
+}
+
+// One lane is the only schedule: zero lanes is as invalid as two, for
+// either engine.
+TEST(ExecOptionsDeathTest, ZeroThreadsAborts) {
+  BitmapIndex index = BitmapIndex::Build(MakeColumn(9, 100, false, 1), 9,
+                                         BaseSequence::FromMsbFirst({3, 3}),
+                                         Encoding::kRange);
+  for (EngineKind engine : {EngineKind::kPlain, EngineKind::kAuto}) {
+    EXPECT_DEATH(
+        EvaluatePredicate(index, EvalAlgorithm::kAuto, CompareOp::kLe, 4,
+                          ExecOptions{.num_threads = 0, .engine = engine}),
+        "num_threads == 1")
+        << ToString(engine);
+  }
 }
 
 }  // namespace

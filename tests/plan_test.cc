@@ -9,6 +9,7 @@
 
 #include "baseline/scan.h"
 #include "core/advisor.h"
+#include "core/eval.h"
 #include "plan/selection_plan.h"
 #include "workload/generators.h"
 
@@ -53,6 +54,31 @@ TEST(SelectionPlanTest, AllPlansAgreeOnTheFoundset) {
       EXPECT_EQ(result.foundset, expected) << ToString(plan.kind);
       EXPECT_GT(result.bytes_read, 0) << ToString(plan.kind);
     }
+  }
+}
+
+// P3 over a relation spanning three full replay segments and a partial
+// one: each bitmap probe replays across segment seams and the tail, and the
+// merge's cost is the sum of its probes' bitmap and RID reads, no tuples.
+TEST(SelectionPlanTest, IndexMergeAcrossReplaySegmentsMatchesOracle) {
+  const size_t rows = 3 * (size_t{1} << kSegmentBits) + 37;
+  Table table = MakeTable(rows);
+  const ConjunctiveQuery queries[] = {
+      {{0, CompareOp::kLe, 9}, {1, CompareOp::kGt, 5}},
+      {{0, CompareOp::kGe, 45},
+       {1, CompareOp::kNe, 3},
+       {2, CompareOp::kLt, 1200}},
+  };
+  SelectionPlanner planner(table);
+  const PlanEstimate merge{PlanKind::kIndexMerge, -1, 0};
+  for (const ConjunctiveQuery& query : queries) {
+    ExecutionResult result = planner.Execute(query, merge);
+    EXPECT_EQ(result.foundset, Oracle(table, query));
+    EXPECT_EQ(result.tuples_read, 0);
+    EXPECT_GT(result.bitmap_scans, 0);
+    EXPECT_EQ(result.bytes_read, result.bitmap_scans *
+                                         static_cast<int64_t>((rows + 7) / 8) +
+                                     4 * result.rids_read);
   }
 }
 
