@@ -1,9 +1,16 @@
-// Micro-benchmark for the k-ary WAH OR fold (bitmap/wah_kernels.cc): every
-// operand's code words stitched into one dense accumulator, the form the
-// compressed-domain engine consumes.
+// Micro-benchmark for the k-ary WAH OR fold (bitmap/wah_kernels.cc), the
+// form the compressed-domain engine consumes: one dense accumulator, each
+// operand folded in by the kernel its stream shape calls for — the stitch
+// (code words shifted straight into accumulator words) for near-all-fill and
+// all-literal streams, the group-space fold (literals placed at their 31-bit
+// group slots, packed to words once) for streams that mix fills and
+// literals.
 //
-// The grid sweeps bit density (sparse fills -> uniform noise) against fan-in
-// k in {2, 4, 8, 16, 32}.  Each result is checked against a pairwise WAH OR
+// The grid sweeps bit density (sparse fills -> fill/literal-mixed uniform
+// noise -> clustered runs -> incompressible noise) against fan-in k in
+// {2, 4, 8, 16, 32}.  The sparse, clustered and 50% lanes run the stitch;
+// the uniform 0.4% and 2% lanes (code words per group ~0.22 and ~0.71) run
+// the group-space fold.  Each result is checked against a pairwise WAH OR
 // fold — a divergence fails the run.
 //
 // Usage: bench_wah_merge [--smoke] [OUT.json]
@@ -112,6 +119,8 @@ int main(int argc, char** argv) {
   const Shape shapes[] = {
       {"sparse 0.01%", 0.0001, 0},
       {"sparse 0.1%", 0.001, 0},
+      {"uniform 0.4%", 0.004, 0},
+      {"uniform 2%", 0.02, 0},
       {"clustered 10% r=2048", 0.1, 2048},
       {"noise 50%", 0.5, 0},
   };

@@ -69,10 +69,15 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   configure build-asan \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  # The k-ary OR fold's group-space kernel and the engine's dense-on-use
+  # operands ride along: the fold indexes per-thread slot and block arrays
+  # by group numbers read from code words, and packs its final block
+  # through a stack buffer that overhangs the accumulator.
   cmake --build build-asan --target bix_tests bix_differential_tests
   ./build-asan/tests/bix_differential_tests \
-      --gtest_filter='EngineDifferentialTest*'
-  ./build-asan/tests/bix_tests --gtest_filter='RowOrderTest*'
+      --gtest_filter='EngineDifferentialTest*:WahGroupFoldTest*'
+  ./build-asan/tests/bix_tests \
+      --gtest_filter='RowOrderTest*:WahDenseOnUseTest*'
 fi
 
 if [[ "$RUN_CHAOS" == 1 ]]; then

@@ -110,27 +110,6 @@ bool WahBitvector::TryFromCodeWords(std::vector<uint32_t> words,
   return true;
 }
 
-namespace {
-
-// Sets bits [lo, hi) in the backing words of a dense bitvector.
-void SetBitRange(std::span<uint64_t> words, size_t lo, size_t hi) {
-  if (lo >= hi) return;
-  size_t wlo = lo >> 6;
-  size_t whi = (hi - 1) >> 6;
-  uint64_t first = ~uint64_t{0} << (lo & 63);
-  uint64_t last =
-      (hi & 63) != 0 ? ~uint64_t{0} >> (64 - (hi & 63)) : ~uint64_t{0};
-  if (wlo == whi) {
-    words[wlo] |= first & last;
-    return;
-  }
-  words[wlo] |= first;
-  for (size_t w = wlo + 1; w < whi; ++w) words[w] = ~uint64_t{0};
-  words[whi] |= last;
-}
-
-}  // namespace
-
 Bitvector WahBitvector::ToBitvector() const {
   Bitvector out(num_bits_);
   std::span<uint64_t> words = out.mutable_words();

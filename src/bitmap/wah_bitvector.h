@@ -70,7 +70,7 @@ class WahBitvector {
   static WahBitvector AndNot(const WahBitvector& a, const WahBitvector& b);
   WahBitvector Not() const;
 
-  /// Fused k-ary kernels (bitmap/wah_kernels.cc): every operand is stitched
+  /// Fused k-ary kernels (bitmap/wah_kernels.cc): every operand is folded
   /// into one dense accumulator and the result compressed once.  `operands`
   /// must be non-empty with equal sizes; k == 1 short-circuits to a copy.
   static WahBitvector OrOfMany(std::span<const WahBitvector* const> operands);

@@ -1,12 +1,14 @@
 // Internal WAH code-word vocabulary, shared by the codec (wah_bitvector.cc)
-// and the fused multi-operand kernels (wah_kernels.cc), and the codec's run
-// decoder.
+// and the fused multi-operand kernels (wah_kernels.cc): the code-word
+// fields, the ones-fill bit-range setter both use on dense words, and the
+// codec's run decoder.
 // Not part of the public surface; include only from bitmap/ sources.
 
 #ifndef BIX_BITMAP_WAH_RUN_DECODER_H_
 #define BIX_BITMAP_WAH_RUN_DECODER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -22,6 +24,24 @@ inline constexpr uint32_t kMaxFillCount = 0x3FFFFFFFu;
 inline bool IsFill(uint32_t word) { return (word & kFillFlag) != 0; }
 inline bool FillValue(uint32_t word) { return (word & kFillValueFlag) != 0; }
 inline uint32_t FillCount(uint32_t word) { return word & kMaxFillCount; }
+
+// Sets bits [lo, hi) in the backing words of a dense bitvector (a ones
+// fill's span; callers clamp `hi` to the vector's size).
+inline void SetBitRange(std::span<uint64_t> words, size_t lo, size_t hi) {
+  if (lo >= hi) return;
+  size_t wlo = lo >> 6;
+  size_t whi = (hi - 1) >> 6;
+  uint64_t first = ~uint64_t{0} << (lo & 63);
+  uint64_t last =
+      (hi & 63) != 0 ? ~uint64_t{0} >> (64 - (hi & 63)) : ~uint64_t{0};
+  if (wlo == whi) {
+    words[wlo] |= first & last;
+    return;
+  }
+  words[wlo] |= first;
+  for (size_t w = wlo + 1; w < whi; ++w) words[w] = ~uint64_t{0};
+  words[whi] |= last;
+}
 
 // Sequential reader over the code words, exposing one run at a time.
 class RunDecoder {

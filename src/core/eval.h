@@ -53,8 +53,9 @@ namespace bix {
 ///  * kAuto  — per-operand choice: an operand fetched via
 ///             BitmapSource::FetchWah stays compressed while its WAH form is
 ///             at most 1/32 of its dense form and runs run-at-a-time on the
-///             code words; otherwise it is inflated once and the op runs on
-///             words (exec/wah_engine.h).
+///             code words; otherwise it is inflated once, at its first
+///             dense use, and the op runs on words.  k-ary ORs fold every
+///             operand from its code words (exec/wah_engine.h).
 /// Both engines produce bit-identical results and identical EvalStats; the
 /// choice only moves where the work happens.
 enum class EngineKind : uint8_t { kPlain, kAuto };

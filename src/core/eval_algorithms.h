@@ -23,7 +23,7 @@
 //
 // Operation counting stays in the shared template code (OpCounter below), so
 // both engines report identical EvalStats by construction.  OrMany lets the
-// compressed engine stitch EqualityEval's OR-sides into one accumulator
+// compressed engine fold EqualityEval's OR-sides into one accumulator
 // (bitmap/wah_kernels.h); OrManyCounted charges the same `k-1` OR operations
 // the pairwise fold would, keeping the audit exact.
 

@@ -18,7 +18,8 @@ namespace bix::exec {
 namespace {
 
 // How many logical bitmap operations ran on the compressed form vs fell back
-// to dense words, and how many fetched operands were inflated up front.
+// to dense words, and how many operands were inflated (each at its first
+// dense use).
 // Together with eval.{and,or,xor,not}_ops these show what fraction of a
 // workload actually executed compressed.
 obs::Counter& CompressedOps() {
@@ -46,18 +47,34 @@ obs::Counter& InflatedOperands() {
 // process and for every source.
 constexpr size_t kAutoKeepDenominator = 32;
 
-// The engine's operand: WAH-compressed or dense, decided per operand at
-// fetch time.  Compressed x compressed operations stay in the compressed
-// domain; anything touching a dense operand densifies and runs on words.
+// The engine's operand, in one of three forms decided per operand at fetch
+// time:
+//  * kept compressed (the keep rule holds): compressed x compressed
+//    operations stay in the compressed domain;
+//  * dense on use (a WAH operand the keep rule refuses): held as code words
+//    until its first dense use, where it inflates once, in place.  A k-ary
+//    OR folds it straight from its code words and never inflates it;
+//  * dense.
+// Anything touching a dense or dense-on-use operand runs on dense words.
+// Inflating in place changes the form, never the value, so the form is
+// mutable: a copy of a dense-on-use operand inflates the source first (the
+// templates copy an operand only to go on using both copies densely), and a
+// dense-on-use right-hand side inflates where it stands, once for all its
+// uses.
 class WahVec {
  public:
   WahVec() = default;
+  WahVec(const WahVec& o) { CopyFrom(o); }
+  WahVec& operator=(const WahVec& o) {
+    if (this != &o) CopyFrom(o);
+    return *this;
+  }
+  WahVec(WahVec&&) = default;
+  WahVec& operator=(WahVec&&) = default;
 
-  static WahVec Wah(WahBitvector w) {
-    WahVec v;
-    v.repr_ = Repr::kWah;
-    v.wah_ = std::move(w);
-    return v;
+  static WahVec Wah(WahBitvector w) { return Coded(Repr::kWah, std::move(w)); }
+  static WahVec DenseOnUse(WahBitvector w) {
+    return Coded(Repr::kDenseOnUse, std::move(w));
   }
   static WahVec Dense(Bitvector d) {
     WahVec v;
@@ -66,7 +83,10 @@ class WahVec {
     return v;
   }
 
-  bool is_wah() const { return repr_ == Repr::kWah; }
+  /// True while the operand is code words (kept compressed or dense on use).
+  bool has_code_words() const {
+    return repr_ == Repr::kWah || repr_ == Repr::kDenseOnUse;
+  }
   const WahBitvector& wah() const { return wah_; }
   const Bitvector& dense() const { return dense_; }
 
@@ -80,6 +100,7 @@ class WahVec {
       CompressedOps().Increment();
       obs::ProfCount(obs::ProfCounter::kWahCompressedOps);
     } else {
+      Densify();
       dense_.NotInPlace();
       PlainOps().Increment();
       obs::ProfCount(obs::ProfCounter::kWahPlainOps);
@@ -89,6 +110,7 @@ class WahVec {
   /// The dense result (inflating once if still compressed).
   Bitvector IntoDense() && {
     BIX_CHECK(repr_ != Repr::kNull);
+    if (repr_ == Repr::kDenseOnUse) Densify();
     if (repr_ == Repr::kWah) return wah_.ToBitvector();
     return std::move(dense_);
   }
@@ -96,21 +118,37 @@ class WahVec {
   /// The compressed result (compressing once if held dense).
   WahBitvector IntoWah() && {
     BIX_CHECK(repr_ != Repr::kNull);
-    if (repr_ == Repr::kWah) return std::move(wah_);
+    if (has_code_words()) return std::move(wah_);
     return WahBitvector::FromBitvector(dense_);
   }
 
-  void Densify() {
-    if (repr_ != Repr::kWah) return;
+ private:
+  enum class Repr : uint8_t { kNull, kWah, kDenseOnUse, kDense };
+  enum class Op : uint8_t { kAnd, kOr, kXor };
+
+  static WahVec Coded(Repr repr, WahBitvector w) {
+    WahVec v;
+    v.repr_ = repr;
+    v.wah_ = std::move(w);
+    return v;
+  }
+
+  void CopyFrom(const WahVec& o) {
+    if (o.repr_ == Repr::kDenseOnUse) o.Densify();
+    repr_ = o.repr_;
+    wah_ = o.wah_;
+    dense_ = o.dense_;
+  }
+
+  // Inflates a compressed or dense-on-use operand in place, counted as one
+  // inflated operand.
+  void Densify() const {
+    if (!has_code_words()) return;
     dense_ = wah_.ToBitvector();
     wah_ = WahBitvector();
     repr_ = Repr::kDense;
     InflatedOperands().Increment();
   }
-
- private:
-  enum class Repr : uint8_t { kNull, kWah, kDense };
-  enum class Op : uint8_t { kAnd, kOr, kXor };
 
   void Binary(const WahVec& o, Op op) {
     BIX_CHECK(repr_ != Repr::kNull && o.repr_ != Repr::kNull);
@@ -131,8 +169,9 @@ class WahVec {
       return;
     }
     Densify();
-    // The other operand may still be compressed; inflate a temporary rather
-    // than mutate it (the templates reuse operands after passing them here).
+    if (o.repr_ == Repr::kDenseOnUse) o.Densify();
+    // A kept-compressed right-hand side stays compressed for its later
+    // compressed uses: inflate a temporary rather than the operand.
     const Bitvector* rhs = &o.dense_;
     Bitvector inflated;
     if (o.repr_ == Repr::kWah) {
@@ -155,9 +194,9 @@ class WahVec {
     obs::ProfCount(obs::ProfCounter::kWahPlainOps);
   }
 
-  Repr repr_ = Repr::kNull;
-  WahBitvector wah_;
-  Bitvector dense_;
+  mutable Repr repr_ = Repr::kNull;
+  mutable WahBitvector wah_;
+  mutable Bitvector dense_;
 };
 
 // The compressed-domain backend for the shared algorithm templates; see the
@@ -181,8 +220,7 @@ class WahEngine {
       return WahVec::Dense(src_.Fetch(component, slot, stats_));
     }
     if (KeepCompressed(*wah)) return WahVec::Wah(*wah);
-    InflatedOperands().Increment();
-    return WahVec::Dense(wah->ToBitvector());
+    return WahVec::DenseOnUse(*wah);
   }
 
   Vec Zeros() const {
@@ -204,15 +242,15 @@ class WahEngine {
   Vec OrMany(std::vector<Vec> operands) {
     BIX_CHECK(!operands.empty());
     if (operands.size() == 1) return std::move(operands[0]);
-    // Every compressed operand's code words are stitched into one dense
-    // accumulator without inflating it; dense operands are ORed in word by
-    // word.  The ops count as compressed only when no operand was dense.
-    // Either way the result stays dense (EvaluateToWah re-compresses it in
-    // IntoWah at the very end).
+    // Every operand still in code words (kept compressed or dense on use)
+    // is folded from them without being inflated (bitmap/wah_kernels.h);
+    // dense operands are ORed in word by word.  The ops count as compressed
+    // only when no operand was dense.  Either way the result stays dense
+    // (EvaluateToWah re-compresses it in IntoWah at the very end).
     std::vector<const WahBitvector*> wah;
     std::vector<const Bitvector*> dense;
     for (const Vec& o : operands) {
-      if (o.is_wah()) {
+      if (o.has_code_words()) {
         wah.push_back(&o.wah());
       } else {
         dense.push_back(&o.dense());

@@ -195,8 +195,8 @@ class StoredIndex {
   /// The bitwise combining runs on the engine `exec` selects (null means
   /// ExecOptions{}): dense record and replay (core/eval.h) for kPlain, or
   /// the compressed-domain WAH engine (exec/wah_engine.h) for kAuto, which
-  /// keeps each fetched bitmap compressed or inflates it by its compression
-  /// ratio.  A BS index stored
+  /// keeps each fetched bitmap compressed or, by its compression ratio,
+  /// inflates it at its first dense use.  A BS index stored
   /// with the "wah" codec hands its stored payloads to the WAH engine
   /// directly (BitmapSource::FetchWah), with no inflate on the fetch path.
   /// Bytes read, EvalStats, and the result are identical across engines.

@@ -12,6 +12,8 @@
 #include "core/bitmap_index.h"
 #include "workload/generators.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -20,6 +22,12 @@ struct AggCase {
   uint32_t cardinality;
   Encoding encoding;
 };
+
+std::string CaseName(const AggCase& c) {
+  return test::DesignName(c.bases_msb, c.cardinality) +
+         test::EncodingName(c.encoding);
+}
+void PrintTo(const AggCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class AggregateSweepTest : public ::testing::TestWithParam<AggCase> {};
 
@@ -88,7 +96,8 @@ INSTANTIATE_TEST_SUITE_P(
         AggCase{{4, 4, 4}, 64, Encoding::kRange},
         AggCase{{4, 4, 4}, 64, Encoding::kEquality},
         AggCase{{5, 13}, 63, Encoding::kRange},              // capacity > C
-        AggCase{{5, 13}, 63, Encoding::kEquality}));
+        AggCase{{5, 13}, 63, Encoding::kEquality}),
+    test::ParamName<AggCase>);
 
 TEST(AggregateTest, AllNullColumn) {
   std::vector<uint32_t> values(50, kNullValue);

@@ -14,6 +14,8 @@
 #include "workload/generators.h"
 #include "workload/queries.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -21,6 +23,11 @@ struct ModelCase {
   std::vector<uint32_t> bases_msb;
   uint32_t cardinality;
 };
+
+std::string CaseName(const ModelCase& c) {
+  return test::DesignName(c.bases_msb, c.cardinality);
+}
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class CostModelSweep : public ::testing::TestWithParam<ModelCase> {};
 
@@ -86,7 +93,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{{4, 5, 5}, 100}, ModelCase{{2, 2, 17}, 65},
                       ModelCase{{28, 36}, 1000}, ModelCase{{10, 10, 10}, 1000},
                       ModelCase{{5, 3, 4}, 47}, ModelCase{{13}, 13},
-                      ModelCase{{6, 7}, 40}));
+                      ModelCase{{6, 7}, 40}),
+    test::ParamName<ModelCase>);
 
 TEST(CostModelTest, RangeEncodedClosedForms) {
   // Hand-checked instances of the re-derived formulas.

@@ -16,6 +16,8 @@
 #include "core/eval.h"
 #include "workload/queries.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -24,6 +26,13 @@ struct SweepCase {
   uint32_t cardinality;
   bool with_nulls;
 };
+
+// Both encodings run inside each case, so the name carries the nulls flag.
+std::string CaseName(const SweepCase& c) {
+  return test::DesignName(c.bases_msb, c.cardinality) +
+         (c.with_nulls ? "Nulls" : "");
+}
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << CaseName(c); }
 
 std::vector<uint32_t> MakeColumn(uint32_t cardinality, size_t n,
                                  bool with_nulls, uint64_t seed) {
@@ -102,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
         // Knee-like 2-component shape.
         SweepCase{{28, 36}, 1000, true},
         // Degenerate cardinality 1 (every value 0).
-        SweepCase{{2}, 1, true}));
+        SweepCase{{2}, 1, true}),
+    test::ParamName<SweepCase>);
 
 TEST(EvalEdgeCaseTest, OutOfDomainConstants) {
   std::vector<uint32_t> values = MakeColumn(9, 200, true, 99);

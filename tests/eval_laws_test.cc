@@ -11,6 +11,8 @@
 #include "core/bitmap_index.h"
 #include "workload/generators.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -19,6 +21,12 @@ struct LawsCase {
   uint32_t cardinality;
   Encoding encoding;
 };
+
+std::string CaseName(const LawsCase& c) {
+  return test::DesignName(c.bases_msb, c.cardinality) +
+         test::EncodingName(c.encoding);
+}
+void PrintTo(const LawsCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class EvalLawsTest : public ::testing::TestWithParam<LawsCase> {
  protected:
@@ -117,7 +125,8 @@ INSTANTIATE_TEST_SUITE_P(
         LawsCase{{2, 2, 2, 2, 2}, 30, Encoding::kRange},
         LawsCase{{2, 2, 2, 2, 2}, 30, Encoding::kEquality},
         LawsCase{{4, 3, 4}, 42, Encoding::kRange},
-        LawsCase{{4, 3, 4}, 42, Encoding::kEquality}));
+        LawsCase{{4, 3, 4}, 42, Encoding::kEquality}),
+    test::ParamName<LawsCase>);
 
 }  // namespace
 }  // namespace bix

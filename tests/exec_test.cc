@@ -22,6 +22,8 @@
 #include "obs/metrics.h"
 #include "workload/queries.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -125,6 +127,12 @@ struct ExecSweepCase {
   bool with_nulls;
 };
 
+std::string CaseName(const ExecSweepCase& c) {
+  return test::DesignName(c.bases_msb, c.cardinality) + "N" +
+         std::to_string(c.num_rows) + (c.with_nulls ? "Nulls" : "");
+}
+void PrintTo(const ExecSweepCase& c, std::ostream* os) { *os << CaseName(c); }
+
 std::vector<uint32_t> MakeColumn(uint32_t cardinality, size_t n,
                                  bool with_nulls, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -221,7 +229,8 @@ INSTANTIATE_TEST_SUITE_P(
         ExecSweepCase{{2, 2, 2, 2}, 13, 3 * kSegmentRows + 37, true},
         // The paper's knee base and Section 3 example, larger domain.
         ExecSweepCase{{28, 36}, 1000, 3 * kSegmentRows + 37, true},
-        ExecSweepCase{{10, 10, 10}, 1000, 3 * kSegmentRows + 37, false}));
+        ExecSweepCase{{10, 10, 10}, 1000, 3 * kSegmentRows + 37, false}),
+    test::ParamName<ExecSweepCase>);
 
 TEST(SegmentedEvalTest, RecordedProgramIsReusable) {
   std::vector<uint32_t> values =

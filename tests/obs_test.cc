@@ -20,6 +20,8 @@
 #include "obs/trace.h"
 #include "workload/generators.h"
 
+#include "param_names.h"
+
 namespace bix {
 namespace {
 
@@ -242,24 +244,17 @@ struct AuditCase {
   EvalAlgorithm algorithm;
 };
 
-// Stable, human-readable parameterized-test names (the default printer
-// dumps raw bytes, including heap addresses, which breaks test discovery).
-std::string AuditCaseName(
-    const ::testing::TestParamInfo<AuditCase>& info) {
-  std::string name;
-  for (uint32_t b : info.param.bases_msb) {
-    name += "b" + std::to_string(b);
+std::string CaseName(const AuditCase& c) {
+  std::string name = test::DesignName(c.bases_msb, c.cardinality) +
+                     test::EncodingName(c.encoding);
+  switch (c.algorithm) {
+    case EvalAlgorithm::kRangeEval: return name + "RE";
+    case EvalAlgorithm::kRangeEvalOpt: return name + "REOpt";
+    case EvalAlgorithm::kEqualityEval: return name + "EE";
+    default: return name + "Auto";
   }
-  name += "C" + std::to_string(info.param.cardinality);
-  name += info.param.encoding == Encoding::kRange ? "Range" : "Equality";
-  switch (info.param.algorithm) {
-    case EvalAlgorithm::kRangeEval: name += "RE"; break;
-    case EvalAlgorithm::kRangeEvalOpt: name += "REOpt"; break;
-    case EvalAlgorithm::kEqualityEval: name += "EE"; break;
-    default: name += "Auto"; break;
-  }
-  return name;
 }
+void PrintTo(const AuditCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class AuditSweep : public ::testing::TestWithParam<AuditCase> {};
 
@@ -333,7 +328,7 @@ INSTANTIATE_TEST_SUITE_P(
                   EvalAlgorithm::kEqualityEval},
         AuditCase{{7, 2}, 13, Encoding::kEquality,
                   EvalAlgorithm::kEqualityEval}),
-    AuditCaseName);
+    test::ParamName<AuditCase>);
 
 // Buffered sources satisfy the audit in its scans-plus-hits form: a pinned
 // fetch is a buffer hit instead of a scan, but the logical fetch count the

@@ -794,6 +794,63 @@ TEST(ServeDifferentialTest, ConcurrentSharedMatchesSequentialUnshared) {
   }
 }
 
+// kAuto's k-ary OR-sides over noisy stored WAH bitmaps fold in group space
+// through a per-thread scratch (bitmap/wah_kernels.cc).  Eight serve lanes
+// folding at once must agree with one sequential plain lane, and stay
+// race-free under scripts/check.sh --tsan and --serve.
+TEST(ServeDifferentialTest, ConcurrentAutoFoldsOfNoisyWahOrSides) {
+  TempDir dir;
+  constexpr uint32_t kCardinality = 40;
+  // ~2.5% density per bitmap: code words per group ~0.8, the group fold's
+  // side of the kernel rule; 20000 rows span ten 64-group blocks.
+  BitmapIndex index = BitmapIndex::Build(
+      GenerateUniform(20000, kCardinality, 20261024), kCardinality,
+      BaseSequence::SingleComponent(kCardinality), Encoding::kEquality);
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                 StorageScheme::kBitmapLevel,
+                                 *CodecByName("wah"), &stored)
+                  .ok());
+  std::vector<serve::ServeQuery> queries;
+  for (size_t i = 0; i < 240; ++i) {
+    serve::ServeQuery q;
+    q.id = i;
+    q.column = 0;
+    q.op = i % 3 == 0 ? CompareOp::kGe : CompareOp::kLe;
+    q.value = static_cast<int64_t>(1 + (i * 7) % (kCardinality - 2));
+    queries.push_back(q);
+  }
+
+  serve::ServeOptions sequential;
+  sequential.num_threads = 1;
+  sequential.share_operands = false;
+  sequential.max_pending = queries.size();
+  sequential.engine = EngineKind::kPlain;
+  serve::QueryService reference(sequential);
+  reference.AddColumn(stored.get());
+  const std::vector<serve::ServeResult> expected = reference.RunBatch(queries);
+
+  for (bool share : {false, true}) {
+    SCOPED_TRACE(share ? "shared" : "unshared");
+    serve::ServeOptions concurrent = sequential;
+    concurrent.num_threads = 8;
+    concurrent.share_operands = share;
+    concurrent.engine = EngineKind::kAuto;
+    serve::QueryService service(concurrent);
+    service.AddColumn(stored.get());
+    const std::vector<serve::ServeResult> got = service.RunBatch(queries);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      ASSERT_TRUE(got[i].status.ok()) << got[i].status.ToString();
+      ASSERT_TRUE(expected[i].status.ok());
+      EXPECT_EQ(got[i].foundset, expected[i].foundset);
+      EXPECT_EQ(got[i].stats.bitmap_scans, expected[i].stats.bitmap_scans);
+      EXPECT_EQ(got[i].stats.TotalOps(), expected[i].stats.TotalOps());
+    }
+  }
+}
+
 TEST(ServeDifferentialTest, ConcurrentUnsharedMatchesSequential) {
   ServeFixture fx;
   fx.Build();

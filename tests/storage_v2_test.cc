@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -687,6 +688,74 @@ TEST(StorageV2Test, WahCodecServesCompressedDomainEngineDirectly) {
     }
     EXPECT_GT(CounterValue("storage.wah_direct_fetches"), direct_before)
         << "stored WAH payloads were never handed to the engine directly";
+  }
+}
+
+// kAuto over a stored WAH column whose equality bitmaps are too noisy for
+// the 1/32 keep rule: such an operand is dense on use.  A `<=` OR-side folds
+// every one of them from its code words and inflates none; an `=` ANDs two
+// of them and inflates both, as before.  Bits and EvalStats equal kPlain's.
+TEST(WahDenseOnUseTest, OrSideFoldsNoisyOperandsWithoutInflating) {
+  constexpr size_t kRows = 3 * 65536 + 37;
+  // 10% NULLs scattered at random keep B_nn noisy too, so the final AND
+  // with B_nn is dense x dense and inflates nothing either.
+  std::mt19937_64 rng(20261023);
+  std::vector<uint32_t> values(kRows);
+  for (uint32_t& v : values) {
+    v = rng() % 10 == 0 ? kNullValue : static_cast<uint32_t>(rng() % 40);
+  }
+  struct Column {
+    const char* name;
+    std::vector<uint32_t> bases_msb;
+    CompareOp op;
+    int64_t expected_inflations;
+  };
+  const Column columns[] = {{"one component, <=", {40}, CompareOp::kLe, 0},
+                            {"two components, =", {8, 5}, CompareOp::kEq, 2}};
+  ExecOptions auto_exec;
+  auto_exec.engine = EngineKind::kAuto;
+  ExecOptions plain_exec;
+  plain_exec.engine = EngineKind::kPlain;
+  for (const Column& column : columns) {
+    BitmapIndex index =
+        BitmapIndex::Build(values, 40, BaseSequence::FromMsbFirst(column.bases_msb),
+                           Encoding::kEquality);
+    TempDir dir;
+    std::unique_ptr<StoredIndex> stored;
+    ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                   StorageScheme::kBitmapLevel,
+                                   *CodecByName("wah"), &stored)
+                    .ok());
+    // Every `<=` here ORs two or more bitmaps (a one-term OR-side is the
+    // operand itself, which the AND with B_nn then inflates).
+    for (int64_t v : {1, 7, 19, 20, 37}) {
+      const std::string ctx =
+          std::string(column.name) + " v=" + std::to_string(v);
+      EvalStats auto_stats, plain_stats;
+      Status as, ps;
+      const int64_t inflated0 = CounterValue("wah_engine.inflated_operands");
+      const int64_t compressed0 = CounterValue("wah_engine.compressed_ops");
+      Bitvector got = stored->Evaluate(EvalAlgorithm::kEqualityEval, column.op,
+                                       v, &auto_stats, nullptr, &as, &auto_exec);
+      const int64_t inflated =
+          CounterValue("wah_engine.inflated_operands") - inflated0;
+      const int64_t compressed =
+          CounterValue("wah_engine.compressed_ops") - compressed0;
+      Bitvector want = stored->Evaluate(EvalAlgorithm::kEqualityEval, column.op,
+                                        v, &plain_stats, nullptr, &ps,
+                                        &plain_exec);
+      ASSERT_TRUE(as.ok()) << ctx;
+      ASSERT_TRUE(ps.ok()) << ctx;
+      ASSERT_EQ(got, want) << ctx;
+      ASSERT_EQ(got, index.Evaluate(column.op, v)) << ctx;
+      EXPECT_EQ(auto_stats, plain_stats) << ctx;
+      EXPECT_EQ(inflated, column.expected_inflations) << ctx;
+      if (column.op == CompareOp::kLe) {
+        // The OR-side ran as one fold over code words.
+        ASSERT_GT(auto_stats.or_ops, 0) << ctx;
+        EXPECT_EQ(compressed, auto_stats.or_ops) << ctx;
+      }
+    }
   }
 }
 

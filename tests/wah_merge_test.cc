@@ -5,9 +5,15 @@
 // all-fill operands, zero-length operands and long sparse bitmaps — and the
 // WAH results must be canonically encoded.  Also pins down the contract
 // edges: k == 1 short-circuits to a copy and the empty span dies.
+//
+// The WahGroupFoldTest cases aim at the OR fold's per-operand kernel choice
+// (wah_kernels.cc: group space for streams that mix fills and literals, the
+// stitch otherwise) at production sizes and at the 64-group block seams the
+// group fold packs by.
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
 #include <utility>
@@ -205,6 +211,123 @@ TEST(WahMergeTest, MixedShapeOperandsMatchDenseReference) {
       std::reverse(dense.begin(), dense.end());
       ExpectFoldsMatchReference(dense, ctx + " reversed");
     }
+  }
+}
+
+// Bernoulli(p) bits, drawn by geometric gaps so sparse 10^6-bit operands
+// cost one draw per set bit.
+Bitvector RandomBits(std::mt19937_64& rng, size_t bits, double p) {
+  Bitvector out(bits);
+  std::geometric_distribution<size_t> gap(p);
+  for (size_t bit = gap(rng); bit < bits; bit += 1 + gap(rng)) out.Set(bit);
+  return out;
+}
+
+// The fold against both references: the pairwise WAH OR and inflate-then-OR.
+void ExpectOrFoldMatchesReferences(const std::vector<WahBitvector>& wah,
+                                   const std::string& ctx) {
+  WahBitvector pairwise = wah[0];
+  Bitvector inflated = wah[0].ToBitvector();
+  for (size_t i = 1; i < wah.size(); ++i) {
+    pairwise = WahBitvector::Or(pairwise, wah[i]);
+    inflated.OrWith(wah[i].ToBitvector());
+  }
+  const Bitvector got = DenseOrOfMany(Pointers(wah));
+  ASSERT_TRUE(got == inflated) << ctx;
+  ASSERT_TRUE(got == pairwise.ToBitvector()) << ctx;
+  ASSERT_TRUE(OrOfMany(wah) == pairwise) << ctx;
+}
+
+// Code words per 31-bit group: the number the fold's kernel rule reads.
+double WordsPerGroup(const WahBitvector& w) {
+  const size_t groups = (w.size() + 30) / 31;
+  return static_cast<double>(w.code_words().size()) /
+         static_cast<double>(groups);
+}
+
+// Densities on both sides of the kernel rule — near-all-fill (0.05%),
+// fill/literal-mixed (0.4%, 2%) and all-literal (50%) — alone and mixed,
+// over sizes that end inside a 64-group block, one bit either side of a
+// block edge, and on it.
+TEST(WahGroupFoldTest, DensitiesAcrossTheKernelRuleMatchReferences) {
+  constexpr size_t kBlockBits = 31 * 64;
+  const double densities[] = {0.0005, 0.004, 0.02, 0.5};
+  std::mt19937_64 rng(20261020);
+  bool saw_sparse = false, saw_mixed = false, saw_literal = false;
+  for (size_t bits : {size_t{1000000}, size_t{3 * 65536 + 37},
+                      kBlockBits * 3 - 1, kBlockBits * 3, kBlockBits * 3 + 1}) {
+    for (size_t k : {1u, 2u, 13u}) {
+      for (size_t d = 0; d <= std::size(densities); ++d) {
+        // d == size(densities): every operand draws its own density.
+        std::vector<WahBitvector> wah;
+        for (size_t i = 0; i < k; ++i) {
+          const double p = d < std::size(densities)
+                               ? densities[d]
+                               : densities[(i + bits) % std::size(densities)];
+          wah.push_back(WahBitvector::FromBitvector(RandomBits(rng, bits, p)));
+          const double r = WordsPerGroup(wah.back());
+          saw_sparse |= r < 0.1;
+          saw_mixed |= r > 0.3 && r < 0.9;
+          saw_literal |= r == 1.0;
+        }
+        ExpectOrFoldMatchesReferences(
+            wah, "bits=" + std::to_string(bits) + " k=" + std::to_string(k) +
+                     " d=" + std::to_string(d));
+      }
+    }
+  }
+  EXPECT_TRUE(saw_sparse && saw_mixed && saw_literal)
+      << "the grid no longer spans both sides of the kernel rule";
+}
+
+// Ones fills inside fill/literal-mixed operands: runs that cross a 64-group
+// block edge (the group fold sets them straight in the accumulator, then
+// ORs the packed blocks over them) and runs that end at num_bits.
+TEST(WahGroupFoldTest, OnesFillsAcrossBlockEdgesAndToTheEnd) {
+  constexpr size_t kBlockBits = 31 * 64;
+  std::mt19937_64 rng(20261021);
+  for (size_t bits : {kBlockBits * 5 - 1, kBlockBits * 5 + 1,
+                      size_t{3 * 65536 + 37}}) {
+    for (size_t k : {1u, 2u, 13u}) {
+      std::vector<WahBitvector> wah;
+      for (size_t i = 0; i < k; ++i) {
+        Bitvector d = RandomBits(rng, bits, 0.02);
+        // Group-aligned run over the edge of block 1 + i % 3.
+        const size_t edge = kBlockBits * (1 + i % 3);
+        for (size_t b = edge - 31 * (2 + i); b < edge + 31 * (3 + i); ++b) {
+          d.Set(b);
+        }
+        // A run through the end; odd operands start it mid-group.
+        for (size_t b = bits - 31 * 40 - (i % 2) * 7; b < bits; ++b) d.Set(b);
+        wah.push_back(WahBitvector::FromBitvector(d));
+        ASSERT_GT(WordsPerGroup(wah.back()), 0.3);
+        ASSERT_LT(WordsPerGroup(wah.back()), 0.9);
+      }
+      ExpectOrFoldMatchesReferences(
+          wah, "bits=" + std::to_string(bits) + " k=" + std::to_string(k));
+    }
+  }
+}
+
+// The group fold's per-thread scratch must come back all zero: a fold on
+// the same thread right after a larger one, and one of a different size,
+// sees none of the earlier operands' literals.
+TEST(WahGroupFoldTest, BackToBackFoldsOnOneThreadStartFromZero) {
+  std::mt19937_64 rng(20261022);
+  const size_t kBits = 3 * 65536 + 37;
+  std::vector<WahBitvector> first;
+  for (int i = 0; i < 13; ++i) {
+    first.push_back(WahBitvector::FromBitvector(RandomBits(rng, kBits, 0.02)));
+  }
+  ExpectOrFoldMatchesReferences(first, "first fold");
+  for (size_t bits : {kBits, kBits - 31 * 64 - 5}) {
+    std::vector<WahBitvector> second;
+    for (int i = 0; i < 2; ++i) {
+      second.push_back(
+          WahBitvector::FromBitvector(RandomBits(rng, bits, 0.004)));
+    }
+    ExpectOrFoldMatchesReferences(second,
+                                  "second fold bits=" + std::to_string(bits));
   }
 }
 

@@ -42,6 +42,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compress/huffman.h"
@@ -120,6 +121,16 @@ class Flags {
     if (!v.has_value()) return std::nullopt;
     return std::atoll(v->c_str());
   }
+  /// The first key given that `accepted` does not list, if any.
+  std::optional<std::string> UnknownKey(
+      const std::vector<std::string_view>& accepted) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+        return key;
+      }
+    }
+    return std::nullopt;
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -179,6 +190,14 @@ int Usage() {
                "[--out FILE]\n"
                "(any command: --metrics-out FILE dumps Prometheus metrics)\n");
   return 2;
+}
+
+// A flag the command does not read is a usage error that names it, so a
+// typo such as `--limt` fails instead of being silently ignored.
+int UnknownFlagUsage(const std::string& command, const std::string& key) {
+  std::fprintf(stderr, "bixctl: unknown flag --%s for %s\n", key.c_str(),
+               command.c_str());
+  return Usage();
 }
 
 // query and explain evaluate on the calling thread, so --threads there is a
@@ -1259,6 +1278,9 @@ int CmdBenchdiff(int argc, char** argv) {
   }
   Flags flags(static_cast<int>(flag_args.size()), flag_args.data());
   if (!flags.ok() || positional.size() < 2) return Usage();
+  if (auto key = flags.UnknownKey({"band", "outlier-frac", "force"})) {
+    return UnknownFlagUsage("benchdiff", *key);
+  }
 
   tools::DiffOptions options;
   if (auto band = flags.Get("band")) options.band = std::atof(band->c_str());
@@ -1295,20 +1317,48 @@ int Main(int argc, char** argv) {
   if (command == "benchdiff") return CmdBenchdiff(argc - 2, argv + 2);
   Flags flags(argc - 2, argv + 2);
   if (!flags.ok()) return Usage();
-  int rc;
-  if (command == "build") rc = CmdBuild(flags);
-  else if (command == "info") rc = CmdInfo(flags);
-  else if (command == "query") rc = CmdQuery(flags);
-  else if (command == "explain") rc = CmdExplain(flags);
-  else if (command == "append") rc = CmdAppend(flags);
-  else if (command == "delete") rc = CmdDelete(flags);
-  else if (command == "compact") rc = CmdCompact(flags);
-  else if (command == "verify") rc = CmdVerify(flags);
-  else if (command == "scrub") rc = CmdScrub(flags);
-  else if (command == "advise") rc = CmdAdvise(flags);
-  else if (command == "serve") rc = CmdServe(flags);
-  else if (command == "bench-serve") rc = CmdBenchServe(flags);
-  else return Usage();
+  // Each command with the flags it reads; every command also takes
+  // --metrics-out.  query and explain list --threads only to refuse it with
+  // its own message (ThreadsUsage).
+  struct Command {
+    const char* name;
+    int (*run)(const Flags&);
+    std::vector<std::string_view> flags;
+  };
+  const Command commands[] = {
+      {"build", CmdBuild,
+       {"csv", "col", "dir", "base", "budget", "encoding", "scheme", "codec",
+        "sort"}},
+      {"info", CmdInfo, {"dir"}},
+      {"query", CmdQuery,
+       {"dir", "pred", "limit", "stats", "trace-out", "flame-out", "engine",
+        "threads"}},
+      {"explain", CmdExplain,
+       {"dir", "pred", "analyze", "flame-out", "engine", "threads"}},
+      {"append", CmdAppend, {"dir", "values"}},
+      {"delete", CmdDelete, {"dir", "rows", "pred"}},
+      {"compact", CmdCompact, {"dir", "resort"}},
+      {"verify", CmdVerify, {"dir"}},
+      {"scrub", CmdScrub, {"dir", "inject"}},
+      {"advise", CmdAdvise, {"cardinality", "budget"}},
+      {"serve", CmdServe,
+       {"dirs", "trace", "threads", "queue", "deadline-ms", "batch",
+        "no-share", "engine"}},
+      {"bench-serve", CmdBenchServe,
+       {"columns", "rows", "cardinality", "queries", "col-skew", "val-skew",
+        "eq-fraction", "threads", "batch", "codec", "engine", "seed", "out"}},
+  };
+  const Command* found = nullptr;
+  for (const Command& c : commands) {
+    if (command == c.name) found = &c;
+  }
+  if (found == nullptr) return Usage();
+  std::vector<std::string_view> accepted = found->flags;
+  accepted.push_back("metrics-out");
+  if (auto key = flags.UnknownKey(accepted)) {
+    return UnknownFlagUsage(command, *key);
+  }
+  const int rc = found->run(flags);
   if (auto metrics_out = flags.Get("metrics-out")) {
     std::string text =
         obs::MetricsRegistry::Global().Snapshot().ToPrometheus();

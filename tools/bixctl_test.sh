@@ -85,6 +85,18 @@ for cmd in query explain; do
       || fail "$cmd --threads names why it is refused"
 done
 
+# A flag the command does not read is a usage error that names the flag,
+# not an option silently ignored: `--limt 1 --engin auto` must not run a
+# plain query.
+rc=0; "$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --limt 1 \
+    --engin auto > /dev/null 2> "$WORK/typo.err" || rc=$?
+[ "$rc" -eq 2 ] || fail "query with misspelt flags should exit 2 (rc=$rc)"
+grep -q -- "unknown flag --engin for query" "$WORK/typo.err" \
+    || fail "the usage error names the unknown flag"
+rc=0; "$BIXCTL" info --dir "$WORK/idx" --pred "<= 500" > /dev/null 2>&1 \
+    || rc=$?
+[ "$rc" -eq 2 ] || fail "info --pred should exit 2 (rc=$rc)"
+
 # The compressed-domain engine must also match bit for bit, with a clean
 # cost-model audit.  plain and auto are the only engines.
 "$BIXCTL" query --dir "$WORK/idx" --pred "<= 500" --engine auto \
