@@ -168,15 +168,26 @@ if [[ "$RUN_MAIN" == 1 ]]; then
   configure build
   cmake --build build
 
-  # Every counting path goes through the inline PopCount64 kernel
-  # (src/bitmap/bitvector.h).  On the default x86-64 target std::popcount
-  # is a libgcc call per word, so a new std::popcount site would show up
-  # here as an undefined __popcount* symbol.
+  # Counting goes through Bitvector::Count()'s dispatched `popcnt` kernel or
+  # the inline SWAR PopCount64 (src/bitmap/bitvector.h).  On the default
+  # x86-64 target std::popcount is a libgcc call per word, so a new
+  # std::popcount site would show up here as an undefined __popcount*
+  # symbol.  On x86-64 the bitmap library must also contain a `popcnt`
+  # instruction, so the hardware kernel cannot silently compile back to
+  # SWAR or a libcall.
   libcalls="$(find build/src -name '*.a' -exec nm -u {} + | grep __popcount || true)"
   if [[ -n "$libcalls" ]]; then
     echo "check.sh: static libraries call libgcc popcount:" >&2
     echo "$libcalls" >&2
     exit 1
+  fi
+  if [[ "$(uname -m)" == x86_64 ]]; then
+    popcnts="$(objdump -d build/src/bitmap/libbix_bitmap.a | grep -cw popcnt || true)"
+    if [[ "$popcnts" == 0 ]]; then
+      echo "check.sh: build/src/bitmap/libbix_bitmap.a has no popcnt" \
+          "instruction; the hardware count kernel is gone" >&2
+      exit 1
+    fi
   fi
 
   # The library reads no environment variables: behaviour is set through

@@ -63,10 +63,56 @@ void Bitvector::NotInPlace() {
   ClearTail();
 }
 
-size_t Bitvector::Count() const {
+namespace popcount_internal {
+
+size_t PortableCount(std::span<const uint64_t> words) {
   size_t count = 0;
-  for (uint64_t w : words_) count += static_cast<size_t>(PopCount64(w));
+  for (uint64_t w : words) count += static_cast<size_t>(PopCount64(w));
   return count;
+}
+
+#if defined(__x86_64__) || defined(_M_X64)
+
+__attribute__((target("popcnt"))) size_t HardwareCount(
+    std::span<const uint64_t> words) {
+  // popcnt has a 3-cycle latency (and, on many Intel cores, a false
+  // dependency on its destination): four independent sums keep several
+  // in flight per cycle instead of chaining each on the last.
+  const uint64_t* w = words.data();
+  const size_t n = words.size();
+  size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    c0 += static_cast<size_t>(__builtin_popcountll(w[i]));
+    c1 += static_cast<size_t>(__builtin_popcountll(w[i + 1]));
+    c2 += static_cast<size_t>(__builtin_popcountll(w[i + 2]));
+    c3 += static_cast<size_t>(__builtin_popcountll(w[i + 3]));
+  }
+  for (; i < n; ++i) c0 += static_cast<size_t>(__builtin_popcountll(w[i]));
+  return c0 + c1 + c2 + c3;
+}
+
+bool HardwareAvailable() {
+  static const bool available = __builtin_cpu_supports("popcnt");
+  return available;
+}
+
+#else
+
+size_t HardwareCount(std::span<const uint64_t> words) {
+  return PortableCount(words);
+}
+
+bool HardwareAvailable() { return false; }
+
+#endif
+
+}  // namespace popcount_internal
+
+size_t Bitvector::Count() const {
+  return popcount_internal::HardwareAvailable()
+             ? popcount_internal::HardwareCount(words_)
+             : popcount_internal::PortableCount(words_);
 }
 
 bool Bitvector::Any() const {

@@ -18,16 +18,38 @@
 
 namespace bix {
 
-/// Branch-free SWAR population count: the one popcount kernel every dense
-/// and WAH counting path uses.  The default x86-64 target has no popcnt
-/// instruction, so std::popcount compiles to a libgcc call per word; this
-/// inlines to a dozen ALU ops and needs no build flag or CPU dispatch.
+/// Branch-free SWAR population count.  The default x86-64 target has no
+/// popcnt instruction, so std::popcount compiles to a libgcc call per word;
+/// this inlines to a dozen ALU ops.
+///
+/// Dispatch rule: Bitvector::Count() — the only count on a query path
+/// (serve's row count, the sorted remap's complement choice, the tombstone
+/// count) — runs a `popcnt` word loop chosen once per process when the CPU
+/// has the instruction (popcount_internal below), and this kernel only as
+/// its fallback.  The fused two-operand counts (CountAnd/CountOr/
+/// AndNotCount, called only by core/aggregate.cc) and the WAH Count/AndCount
+/// (no caller outside bitmap/) run on no benchmarked path and call this
+/// directly.
 inline int PopCount64(uint64_t x) {
   x -= (x >> 1) & 0x5555555555555555ULL;
   x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
   x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
   return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
 }
+
+namespace popcount_internal {
+
+/// True when the CPU has `popcnt` and Count() runs HardwareCount.
+bool HardwareAvailable();
+
+/// Set bits in `words`, exposed so tests can cross-check the two kernels.
+/// PortableCount sums PopCount64; HardwareCount runs `popcnt` over four
+/// independent accumulators and must only be called when
+/// HardwareAvailable() (on other targets it is PortableCount).
+size_t PortableCount(std::span<const uint64_t> words);
+size_t HardwareCount(std::span<const uint64_t> words);
+
+}  // namespace popcount_internal
 
 class Bitvector {
  public:

@@ -223,6 +223,55 @@ TEST(BitvectorTest, CountAcrossManyWords) {
   }
 }
 
+// Count-kernel cross-check fixtures: every length seam of the four-word
+// unrolled hardware loop (0..4 words, ±1 bit around 3, 4 and 5 words, and a
+// 1M-bit foundset with a ragged tail) at densities 0, sparse, half and all
+// ones.  The all-ones and complemented vectors end in masked tail words.
+std::vector<Bitvector> CountKernelFixtures() {
+  const std::vector<size_t> lengths = {0,   1,   63,  64,  65,  191, 192,
+                                       193, 255, 256, 257, 319, 320, 321,
+                                       (size_t{1} << 20) + 37};
+  std::vector<Bitvector> out;
+  std::mt19937_64 rng(23);
+  for (size_t bits : lengths) {
+    out.push_back(Bitvector::Zeros(bits));
+    Bitvector sparse(bits);
+    for (size_t i = 0; i < bits; ++i) {
+      if (rng() % 97 == 0) sparse.Set(i);
+    }
+    out.push_back(sparse);
+    out.push_back(~sparse);
+    Bitvector half(bits);
+    for (size_t i = 0; i < bits; ++i) {
+      if (rng() & 1) half.Set(i);
+    }
+    out.push_back(std::move(half));
+    out.push_back(Bitvector::Ones(bits));
+  }
+  return out;
+}
+
+TEST(BitvectorTest, PortableCountKernelMatchesBitLoop) {
+  for (const Bitvector& bv : CountKernelFixtures()) {
+    const size_t naive = NaiveCount(bv);
+    EXPECT_EQ(popcount_internal::PortableCount(bv.words()), naive)
+        << "bits=" << bv.size();
+    EXPECT_EQ(bv.Count(), naive) << "bits=" << bv.size();
+  }
+}
+
+TEST(BitvectorTest, HardwareCountKernelMatchesPortableAndBitLoop) {
+  if (!popcount_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no popcnt; the portable kernel is the only implementation";
+  }
+  for (const Bitvector& bv : CountKernelFixtures()) {
+    const size_t hw = popcount_internal::HardwareCount(bv.words());
+    EXPECT_EQ(hw, popcount_internal::PortableCount(bv.words()))
+        << "bits=" << bv.size();
+    EXPECT_EQ(hw, NaiveCount(bv)) << "bits=" << bv.size();
+  }
+}
+
 TEST(BitvectorTest, ReserveDoesNotChangeContentsOrLength) {
   Bitvector bv;
   bv.Reserve(1000);
